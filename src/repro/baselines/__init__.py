@@ -8,13 +8,12 @@
   motivation observation of Fig. 1(c).
 * :class:`~repro.baselines.autotvm.SimulatedAnnealingScheduler` — an
   AutoTVM-style simulated-annealing parameter search.
-* :class:`~repro.baselines.task_scheduler.GradientTaskScheduler` — Ansor's
-  greedy gradient-based subgraph allocator, shared by the baselines and the
-  ablation experiments.
+
+Ansor's greedy gradient-based subgraph allocator is the ``"gradient"`` policy
+of :mod:`repro.core.allocation`, shared with HARL's network tuning.
 """
 
 from repro.baselines.evolutionary import EvolutionarySearch
-from repro.baselines.task_scheduler import GradientTaskScheduler
 from repro.baselines.ansor import AnsorScheduler
 from repro.baselines.flextensor import FlextensorScheduler
 from repro.baselines.autotvm import SimulatedAnnealingScheduler
@@ -23,6 +22,5 @@ __all__ = [
     "AnsorScheduler",
     "EvolutionarySearch",
     "FlextensorScheduler",
-    "GradientTaskScheduler",
     "SimulatedAnnealingScheduler",
 ]

@@ -13,19 +13,18 @@ Ansor's search differs from HARL's exactly where Table 1 says it does:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.caching import cached_sketches_for_target
 from repro.baselines.evolutionary import EvolutionarySearch
-from repro.baselines.task_scheduler import GradientTaskScheduler
+from repro.core.allocation import RoundScheduler
 from repro.core.config import HARLConfig
-from repro.core.tuner import NetworkTuningResult, TuningResult
+from repro.core.tuner import TuningResult
 from repro.costmodel.model import ScheduleCostModel
 from repro.hardware.measurer import Measurer
 from repro.hardware.target import HardwareTarget, cpu_target
-from repro.networks.graph import NetworkGraph
 from repro.tensor.dag import ComputeDAG
 from repro.tensor.schedule import Schedule
 from repro.tensor.sketch import Sketch
@@ -59,8 +58,13 @@ class AnsorConfig:
         )
 
 
-class AnsorScheduler:
-    """Evolutionary-search auto-scheduler with greedy task allocation."""
+class AnsorScheduler(RoundScheduler):
+    """Evolutionary-search auto-scheduler with greedy task allocation.
+
+    ``tune`` / ``tune_network`` come from
+    :class:`~repro.core.allocation.RoundScheduler`; the network policy is
+    the greedy ``"gradient"`` allocator.
+    """
 
     name = "ansor"
 
@@ -71,16 +75,12 @@ class AnsorScheduler:
         seed: int = 0,
         cost_model: Optional[ScheduleCostModel] = None,
         measurer: Optional[Measurer] = None,
-        alpha: float = 0.2,
-        beta: float = 2.0,
         record_store=None,
         warm_start_provider=None,
     ):
         self.target = target or cpu_target()
         self.config = config or AnsorConfig()
         self.seed = int(seed)
-        self.alpha = alpha
-        self.beta = beta
         self._rng = np.random.default_rng(seed)
         self.measurer = measurer or Measurer(self.target, seed=seed)
         self.cost_model = cost_model or ScheduleCostModel(seed=seed)
@@ -137,45 +137,27 @@ class AnsorScheduler:
         return sketches
 
     # ------------------------------------------------------------------ #
-    def tune(self, dag: ComputeDAG, n_trials: int) -> TuningResult:
-        """Tune a single operator within a measurement-trial budget."""
-        if n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        self._maybe_replay(dag)
-        self._maybe_warm_start(dag)
-        sketches = self._sketches(dag)
-        start_trials = self.measurer.trials(dag.name)
-        while self.measurer.trials(dag.name) - start_trials < n_trials:
-            remaining = n_trials - (self.measurer.trials(dag.name) - start_trials)
-            self._run_round(dag, sketches, max_measures=remaining)
-        result = self._build_result(dag)
-        if self.record_store is not None:
-            self.record_store.append_result(result)
-        return result
+    def _measure(self, dag: ComputeDAG, schedules: List[Schedule]) -> None:
+        """Measure one batch, train the cost model, keep the best as a warm start."""
+        results = self.measurer.measure(schedules)
+        self.cost_model.update([r.schedule for r in results], [r.throughput for r in results])
+        if results:
+            bucket = self._best_schedules.setdefault(dag.name, [])
+            bucket.append(min(results, key=lambda r: r.latency).schedule)
+            del bucket[:-8]
 
-    def _run_round(
-        self, dag: ComputeDAG, sketches: List[Sketch], max_measures: Optional[int] = None
-    ) -> float:
+    def _run_round(self, dag: ComputeDAG, max_measures: Optional[int] = None) -> None:
         """One round: uniform sketch choice, evolutionary search, measure top-K."""
         pending = self._pending_warm.get(dag.name)
         if pending:
             # Transferred schedules are measured directly (one batch) before
             # the evolutionary search starts, mirroring HARL's warm start.
             budget = len(pending) if max_measures is None else min(len(pending), max_measures)
-            batch = pending[:budget]
             self._pending_warm[dag.name] = pending[budget:]
-            results = self.measurer.measure(batch)
-            self.cost_model.update(
-                [r.schedule for r in results], [r.throughput for r in results]
-            )
-            if results:
-                best = min(results, key=lambda r: r.latency)
-                bucket = self._best_schedules.setdefault(dag.name, [])
-                bucket.append(best.schedule)
-                del bucket[:-8]
-                return best.latency
-            return float("inf")
+            self._measure(dag, pending[:budget])
+            return
         cfg = self.config
+        sketches = self._sketches(dag)
         sketch = sketches[int(self._rng.integers(0, len(sketches)))]
         search = EvolutionarySearch(
             cost_model=self.cost_model,
@@ -192,18 +174,8 @@ class AnsorScheduler:
         budget = cfg.measures_per_round
         if max_measures is not None:
             budget = min(budget, max_measures)
-        top = [schedule for schedule, _score in candidates[:budget]]
-        results = self.measurer.measure(top)
-        self.cost_model.update([r.schedule for r in results], [r.throughput for r in results])
+        self._measure(dag, [schedule for schedule, _score in candidates[:budget]])
         self._rounds[dag.name] = self._rounds.get(dag.name, 0) + 1
-
-        if results:
-            best = min(results, key=lambda r: r.latency)
-            bucket = self._best_schedules.setdefault(dag.name, [])
-            bucket.append(best.schedule)
-            del bucket[:-8]
-            return best.latency
-        return float("inf")
 
     def tune_round(self, dag: ComputeDAG, max_measures: Optional[int] = None) -> int:
         """Run one incremental tuning round; returns trials consumed.
@@ -217,7 +189,7 @@ class AnsorScheduler:
         self._maybe_replay(dag)
         self._maybe_warm_start(dag)
         before = self.measurer.trials(dag.name)
-        self._run_round(dag, self._sketches(dag), max_measures=max_measures)
+        self._run_round(dag, max_measures=max_measures)
         return self.measurer.trials(dag.name) - before
 
     def finalize(self, dag: ComputeDAG) -> TuningResult:
@@ -239,45 +211,4 @@ class AnsorScheduler:
             search_steps=self._search_steps.get(dag.name, 0),
             history=self.measurer.history(dag.name),
             extras={"rounds": self._rounds.get(dag.name, 0)},
-        )
-
-    # ------------------------------------------------------------------ #
-    def tune_network(self, network: NetworkGraph, n_trials: int) -> NetworkTuningResult:
-        """End-to-end tuning with greedy gradient-based task allocation."""
-        if n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        task_scheduler = GradientTaskScheduler(network, alpha=self.alpha, beta=self.beta)
-        sketch_cache = {
-            sg.name: cached_sketches_for_target(sg.dag, self.target) for sg in network
-        }
-        latency_history: List[Tuple[int, float]] = []
-        start_trials = self.measurer.total_trials
-
-        for sg in network:
-            self._maybe_replay(sg.dag)
-            self._maybe_warm_start(sg.dag)
-        while self.measurer.total_trials - start_trials < n_trials:
-            remaining = n_trials - (self.measurer.total_trials - start_trials)
-            task_name = task_scheduler.next_task()
-            sg = network.subgraph(task_name)
-            trials_before = self.measurer.trials(sg.dag.name)
-            self._run_round(sg.dag, sketch_cache[task_name], max_measures=remaining)
-            spent = self.measurer.trials(sg.dag.name) - trials_before
-            task_scheduler.record(task_name, self.measurer.best_latency(sg.dag.name), spent)
-            latency_history.append(
-                (self.measurer.total_trials - start_trials, task_scheduler.estimated_latency())
-            )
-
-        task_results = {sg.name: self._build_result(sg.dag) for sg in network}
-        if self.record_store is not None:
-            for task_result in task_results.values():
-                self.record_store.append_result(task_result)
-        return NetworkTuningResult(
-            network=network.name,
-            scheduler=self.name,
-            task_results=task_results,
-            task_weights=network.weights(),
-            latency_history=latency_history,
-            allocations=dict(task_scheduler.allocations),
-            extras={"task_names": list(task_scheduler.task_names)},
         )

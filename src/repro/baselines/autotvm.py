@@ -149,9 +149,3 @@ class SimulatedAnnealingScheduler:
             self._search_steps[dag.name] = self._search_steps.get(dag.name, 0) + len(chains)
 
         return history
-
-    def tune_network(self, network, n_trials: int):
-        """Template-based AutoTVM does not combine operators into subgraphs."""
-        raise NotImplementedError(
-            "the AutoTVM-style baseline only supports single-operator tuning"
-        )

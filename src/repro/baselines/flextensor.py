@@ -130,9 +130,3 @@ class FlextensorScheduler:
         if self.record_store is not None:
             self.record_store.append_result(result)
         return result
-
-    def tune_network(self, network, n_trials: int):
-        """Flextensor does not support end-to-end network optimisation (Table 1)."""
-        raise NotImplementedError(
-            "Flextensor does not support end-to-end neural network optimisation"
-        )

@@ -50,16 +50,13 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.baselines.ansor import AnsorConfig, AnsorScheduler
-from repro.baselines.autotvm import SimulatedAnnealingScheduler
-from repro.baselines.flextensor import FlextensorScheduler
+from repro.core.allocation import tune_network
 from repro.core.config import HARLConfig
-from repro.core.scheduler import HARLScheduler
 from repro.experiments.cache import build_network
 from repro.experiments.operator_suite import OPERATOR_CLASSES, representative_dag
 from repro.experiments.reporting import format_table
 from repro.experiments.network_runner import NetworkTuner
-from repro.experiments.runner import compare_on_operator, make_measurer
+from repro.experiments.runner import compare_on_operator, make_measurer, make_scheduler
 from repro.experiments.sweep import sweep_networks, sweep_targets
 from repro.hardware.catalog import default_catalog
 from repro.hardware.target import cpu_target, gpu_target
@@ -121,30 +118,6 @@ examples:
 """
 
 _NETWORK_CHOICES = ("bert", "resnet50", "mobilenet_v2")
-
-
-def _make_scheduler(name: str, target, config: HARLConfig, seed: int,
-                    measurer=None, record_store=None, warm_start_provider=None):
-    if name == "harl":
-        return HARLScheduler(target=target, config=config, seed=seed,
-                             measurer=measurer, record_store=record_store,
-                             warm_start_provider=warm_start_provider)
-    if name == "hierarchical-rl":
-        return HARLScheduler(target=target, config=config, seed=seed,
-                             adaptive_stopping=False,
-                             measurer=measurer, record_store=record_store,
-                             warm_start_provider=warm_start_provider)
-    if name == "ansor":
-        return AnsorScheduler(target=target, config=AnsorConfig.from_harl(config),
-                              seed=seed, measurer=measurer, record_store=record_store,
-                              warm_start_provider=warm_start_provider)
-    if name == "flextensor":
-        return FlextensorScheduler(target=target, config=config, seed=seed,
-                                   measurer=measurer, record_store=record_store)
-    if name == "autotvm":
-        return SimulatedAnnealingScheduler(target=target, seed=seed,
-                                           measurer=measurer, record_store=record_store)
-    raise KeyError(name)
 
 
 def _admission_flags(parser: argparse.ArgumentParser) -> None:
@@ -446,9 +419,9 @@ def _cmd_tune_op(args) -> int:
     config = HARLConfig.scaled(args.scale)
     measurer, record_store, resume_store = _build_pipeline(args, target, config)
     registry = _open_registry(args)
-    scheduler = _make_scheduler(args.scheduler, target, config, args.seed,
-                                measurer=measurer, record_store=record_store,
-                                warm_start_provider=_warm_start_provider(registry, target))
+    scheduler = make_scheduler(args.scheduler, target, config, args.seed,
+                               measurer=measurer, record_store=record_store,
+                               warm_start_provider=_warm_start_provider(registry, target))
     if resume_store is not None and hasattr(scheduler, "resume_from"):
         scheduler.resume_from(resume_store)
     dag = representative_dag(args.op, batch=args.batch)
@@ -475,13 +448,13 @@ def _cmd_tune_network(args) -> int:
     config = HARLConfig.scaled(args.scale)
     measurer, record_store, resume_store = _build_pipeline(args, target, config)
     registry = _open_registry(args)
-    scheduler = _make_scheduler(args.scheduler, target, config, args.seed,
-                                measurer=measurer, record_store=record_store,
-                                warm_start_provider=_warm_start_provider(registry, target))
+    scheduler = make_scheduler(args.scheduler, target, config, args.seed,
+                               measurer=measurer, record_store=record_store,
+                               warm_start_provider=_warm_start_provider(registry, target))
     if resume_store is not None and hasattr(scheduler, "resume_from"):
         scheduler.resume_from(resume_store)
     network = build_network(args.network, batch_size=args.batch)
-    result = scheduler.tune_network(network, n_trials=args.trials)
+    result = tune_network(scheduler, network, n_trials=args.trials)
     if registry is not None:
         for sg in network:
             task_result = result.task_results.get(sg.name)

@@ -3,35 +3,36 @@
 :class:`HARLScheduler` ties the three hierarchical decision levels together:
 
 * **subgraph selection** — a non-stationary SW-UCB bandit fed by the Ansor
-  gradient-estimation reward (only used for end-to-end network tuning),
+  gradient-estimation reward (the ``"bandit"`` policy of
+  :mod:`repro.core.allocation`, used for end-to-end network tuning),
 * **sketch selection** — a SW-UCB bandit per subgraph whose reward is the
   normalised best performance achieved by episodes run under each sketch,
 * **parameter search** — a PPO agent per (subgraph, sketch) driving
   Algorithm 1 episodes with adaptive stopping.
 
-Ablation switches (``adaptive_stopping``, ``use_sketch_mab``,
-``use_subgraph_mab``) reproduce the "Hierarchical-RL" and "HARL w/o subgraph
-MAB" variants of the evaluation section.
+Ablation switches (``adaptive_stopping``, ``use_sketch_mab``) reproduce the
+"Hierarchical-RL" variant of the evaluation section; "HARL w/o subgraph MAB"
+is HARL under the greedy ``"gradient"`` network policy
+(``tune_network(..., policy="gradient")``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.caching import cached_sketches_for_target
 from repro.core.actor_critic import PPOAgent
 from repro.core.adaptive_stopping import AdaptiveStopper, FixedLengthStopper
+from repro.core.allocation import RoundScheduler
 from repro.core.bandit import SlidingWindowUCB
 from repro.core.config import HARLConfig
 from repro.core.parameter_search import EpisodeResult, ParameterSearcher
-from repro.core.subgraph_reward import SubgraphState, normalized_rewards
-from repro.core.tuner import NetworkTuningResult, TuningResult
+from repro.core.tuner import TuningResult
 from repro.costmodel.model import ScheduleCostModel
 from repro.hardware.measurer import Measurer
 from repro.hardware.target import HardwareTarget, cpu_target
-from repro.networks.graph import NetworkGraph
 from repro.tensor.actions import ActionSpace
 from repro.tensor.dag import ComputeDAG
 from repro.tensor.features import FEATURE_SIZE
@@ -73,7 +74,7 @@ class _TaskContext:
         self.search_steps = 0
 
 
-class HARLScheduler:
+class HARLScheduler(RoundScheduler):
     """Hierarchical Adaptive RL auto-scheduler (the paper's contribution).
 
     Parameters
@@ -86,9 +87,6 @@ class HARLScheduler:
         Disable to obtain the fixed-length "Hierarchical-RL" ablation.
     use_sketch_mab:
         Disable to select sketches uniformly at random (Ansor-style).
-    use_subgraph_mab:
-        Disable to fall back to greedy gradient-based task selection for
-        end-to-end networks ("HARL w/o subgraph MAB" in Table 4).
     measurer:
         Measurement backend; pass a
         :class:`~repro.hardware.parallel.ParallelMeasurer` to fan measurement
@@ -109,6 +107,7 @@ class HARLScheduler:
     """
 
     name = "harl"
+    task_policy = "bandit"
 
     def __init__(
         self,
@@ -117,7 +116,6 @@ class HARLScheduler:
         seed: int = 0,
         adaptive_stopping: bool = True,
         use_sketch_mab: bool = True,
-        use_subgraph_mab: bool = True,
         cost_model: Optional[ScheduleCostModel] = None,
         measurer: Optional[Measurer] = None,
         record_store=None,
@@ -128,7 +126,6 @@ class HARLScheduler:
         self.seed = int(seed)
         self.adaptive_stopping = bool(adaptive_stopping)
         self.use_sketch_mab = bool(use_sketch_mab)
-        self.use_subgraph_mab = bool(use_subgraph_mab)
         self._rng = np.random.default_rng(seed)
         self.measurer = measurer or Measurer(
             self.target, min_repeat_seconds=self.config.min_repeat_seconds, seed=seed
@@ -212,23 +209,8 @@ class HARLScheduler:
         return searcher
 
     # ------------------------------------------------------------------ #
-    # single-operator tuning
+    # round-drivable API (tune / tune_network come from RoundScheduler)
     # ------------------------------------------------------------------ #
-    def tune(self, dag: ComputeDAG, n_trials: int) -> TuningResult:
-        """Tune one operator / subgraph within a budget of measurement trials."""
-        if n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        ctx = self._task(dag)
-        start_trials = self.measurer.trials(dag.name)
-
-        while self.measurer.trials(dag.name) - start_trials < n_trials:
-            remaining = n_trials - (self.measurer.trials(dag.name) - start_trials)
-            self._run_round(ctx, max_measures=remaining)
-
-        result = self._build_result(ctx)
-        self._persist_result(result)
-        return result
-
     def tune_round(self, dag: ComputeDAG, max_measures: Optional[int] = None) -> int:
         """Run one incremental tuning round; returns trials consumed.
 
@@ -344,94 +326,3 @@ class HARLScheduler:
                 "sketch_keys": [s.key for s in ctx.sketches],
             },
         )
-
-    # ------------------------------------------------------------------ #
-    # end-to-end network tuning
-    # ------------------------------------------------------------------ #
-    def tune_network(self, network: NetworkGraph, n_trials: int) -> NetworkTuningResult:
-        """Tune all subgraphs of a network within a total measurement budget."""
-        if n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        cfg = self.config
-        contexts = {sg.name: self._task(sg.dag) for sg in network}
-        states = {
-            sg.name: SubgraphState(
-                name=sg.name,
-                weight=sg.weight,
-                flops=sg.dag.flops,
-                similarity_group=sg.reward_group,
-            )
-            for sg in network
-        }
-        subgraph_mab = SlidingWindowUCB(
-            len(network.subgraphs),
-            exploration=cfg.ucb_constant,
-            window=cfg.ucb_window,
-            rng=self._rng,
-        )
-        task_names = [sg.name for sg in network]
-        allocations = {name: 0 for name in task_names}
-        latency_history: List[Tuple[int, float]] = []
-        start_trials = self.measurer.total_trials
-
-        while self.measurer.total_trials - start_trials < n_trials:
-            remaining = n_trials - (self.measurer.total_trials - start_trials)
-            if self.use_subgraph_mab:
-                task_index = subgraph_mab.select()
-            else:
-                task_index = self._greedy_task_index(states, task_names)
-            task_name = task_names[task_index]
-            sg = network.subgraph(task_name)
-            ctx = contexts[task_name]
-
-            trials_before = self.measurer.trials(sg.dag.name)
-            self._run_round(ctx, max_measures=remaining)
-            allocations[task_name] += self.measurer.trials(sg.dag.name) - trials_before
-
-            states[task_name].record(self.measurer.best_latency(sg.dag.name))
-            rewards = normalized_rewards(
-                [states[n] for n in task_names],
-                alpha=cfg.alpha,
-                beta=cfg.beta,
-                backward_window=cfg.backward_window,
-            )
-            subgraph_mab.update(task_index, float(rewards[task_index]))
-
-            current = network.estimated_latency(
-                {n: states[n].best_latency for n in task_names}
-            )
-            latency_history.append((self.measurer.total_trials - start_trials, current))
-
-        task_results = {name: self._build_result(contexts[name]) for name in task_names}
-        for task_result in task_results.values():
-            self._persist_result(task_result)
-        return NetworkTuningResult(
-            network=network.name,
-            scheduler=self.name,
-            task_results=task_results,
-            task_weights=network.weights(),
-            latency_history=latency_history,
-            allocations=allocations,
-            extras={
-                "subgraph_plays": subgraph_mab.total_plays().tolist(),
-                "task_names": task_names,
-                "use_subgraph_mab": self.use_subgraph_mab,
-            },
-        )
-
-    def _greedy_task_index(self, states: Dict[str, SubgraphState], task_names: List[str]) -> int:
-        """Greedy (Ansor-style) task selection: always the highest-reward task.
-
-        Tasks that were never tuned are warmed up first (a round-robin pass),
-        which is how Ansor's task scheduler bootstraps its gradient estimates.
-        """
-        for index, name in enumerate(task_names):
-            if states[name].rounds == 0:
-                return index
-        rewards = normalized_rewards(
-            [states[n] for n in task_names],
-            alpha=self.config.alpha,
-            beta=self.config.beta,
-            backward_window=self.config.backward_window,
-        )
-        return int(np.argmax(rewards))

@@ -14,9 +14,11 @@ has into that system:
   (MobileNet's convolutions borrow from ResNet's) and, via the target
   catalog, from other devices;
 * each measurement round is allocated to one task by a pluggable policy —
-  the greedy Eq. 3 :class:`~repro.baselines.task_scheduler.GradientTaskScheduler`
+  the greedy Eq. 3 :class:`~repro.core.allocation.GradientTaskScheduler`
   (Ansor's strategy) or HARL's non-stationary SW-UCB bandit
-  (:class:`BanditTaskScheduler`);
+  (:class:`~repro.core.allocation.BanditTaskScheduler`) — through the same
+  :func:`~repro.core.allocation.allocate_rounds` loop that
+  ``HARLScheduler.tune_network`` / ``AnsorScheduler.tune_network`` use;
 * the outcome is a :class:`NetworkTuningReport`: the ``f(S)`` trajectory,
   the per-task allocation table and the registry / warm-start provenance of
   every task.
@@ -32,12 +34,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines.task_scheduler import GradientTaskScheduler
-from repro.core.bandit import SlidingWindowUCB
+from repro.core.allocation import allocate_rounds, make_task_policy, policy_name
 from repro.experiments.reporting import format_table
 from repro.networks.graph import NetworkGraph
 from repro.serving.service import (
@@ -49,86 +50,10 @@ from repro.serving.service import (
 )
 
 __all__ = [
-    "BanditTaskScheduler",
     "NetworkTuner",
     "NetworkTuningReport",
     "TaskReport",
-    "make_task_policy",
 ]
-
-
-class BanditTaskScheduler(GradientTaskScheduler):
-    """HARL's subgraph-selection policy: SW-UCB over the Eq. 3 reward.
-
-    Shares state/validation with the greedy baseline but replaces the
-    deterministic argmax with a non-stationary sliding-window UCB bandit, so
-    task selection keeps exploring as the per-task reward distributions drift
-    during the run (Observation 1 / Eq. 4 of the paper).
-    """
-
-    name = "bandit"
-
-    def __init__(
-        self,
-        network: NetworkGraph,
-        alpha: float = 0.2,
-        beta: float = 2.0,
-        backward_window: int = 3,
-        exploration: float = 0.25,
-        window: int = 256,
-        seed: int = 0,
-    ):
-        super().__init__(network, alpha=alpha, beta=beta, backward_window=backward_window)
-        self.mab = SlidingWindowUCB(
-            len(self.task_names),
-            exploration=exploration,
-            window=window,
-            rng=np.random.default_rng(seed),
-        )
-        self._index = {name: i for i, name in enumerate(self.task_names)}
-
-    def next_task(self, among: Optional[Sequence[str]] = None) -> str:
-        candidates = self._candidates(among)
-        # Warm-up discipline is shared with the greedy scheduler: every
-        # candidate is grounded in one round before the bandit takes over.
-        untuned = self._untuned(candidates)
-        if untuned is not None:
-            return untuned
-        arm = self.mab.select(among=[self._index[name] for name in candidates])
-        return self.task_names[arm]
-
-    def record(self, task_name: str, best_latency: float, trials: int = 0) -> None:
-        super().record(task_name, best_latency, trials=trials)
-        rewards = self.rewards()
-        arm = self._index[task_name]
-        self.mab.update(arm, float(rewards[arm]))
-
-
-def make_task_policy(
-    policy: str,
-    network: NetworkGraph,
-    config,
-    seed: int = 0,
-):
-    """Build a task-allocation policy by name (``"gradient"`` or ``"bandit"``)."""
-    if policy == "gradient":
-        return GradientTaskScheduler(
-            network,
-            alpha=config.alpha,
-            beta=config.beta,
-            backward_window=config.backward_window,
-        )
-    if policy == "bandit":
-        return BanditTaskScheduler(
-            network,
-            alpha=config.alpha,
-            beta=config.beta,
-            backward_window=config.backward_window,
-            exploration=config.ucb_constant,
-            window=config.ucb_window,
-            seed=seed,
-        )
-    raise KeyError(f"unknown task policy {policy!r}; known: bandit, gradient")
 
 
 @dataclass(frozen=True)
@@ -292,7 +217,7 @@ class NetworkTuner:
         Task-allocation policy: ``"bandit"`` (HARL's SW-UCB, the default),
         ``"gradient"`` (Ansor's greedy Eq. 3 argmax) or a ready-made policy
         object exposing ``next_task(among=...)`` / ``record`` /
-        ``estimated_latency`` / ``allocations``.
+        ``allocations``.
     scheduler:
         Per-task search scheduler the service should run (``"harl"``,
         ``"hierarchical-rl"`` or ``"ansor"``).
@@ -319,7 +244,7 @@ class NetworkTuner:
             )
         else:
             self.policy = policy
-        self.policy_name = getattr(self.policy, "name", type(self.policy).__name__)
+        self.policy_name = policy_name(self.policy)
 
     # ------------------------------------------------------------------ #
     def tune(self, n_trials: int) -> NetworkTuningReport:
@@ -353,43 +278,30 @@ class NetworkTuner:
                     sg.name, handles[sg.name].result.best_latency, trials=0
                 )
 
-        trajectory: List[Tuple[int, float]] = []
-        spent_total = 0
-
         def current_f() -> float:
             return network.estimated_latency(
                 {name: service.current_latency(handle) for name, handle in handles.items()}
             )
 
-        live = [sg.name for sg in network if not handles[sg.name].done]
-        # Cap each task's *first* round at a fair share of the budget: a
-        # coarse config whose regular round consumes more than
-        # n_trials / #tasks measures would otherwise exhaust the budget
-        # before the warm-up pass reaches every task, leaving f(S) infinite.
-        fair_share = max(1, n_trials // max(len(live), 1))
-        rounds_given = {name: 0 for name in live}
         # Zero-trial baseline: with a warm registry f(S) may already be
         # finite before any round, and trials_to_reach must see that.
-        trajectory.append((0, current_f()))
-        while live and spent_total < n_trials:
-            task = policy.next_task(among=live)
-            handle = handles[task]
-            cap = n_trials - spent_total
-            if rounds_given[task] == 0:
-                cap = min(cap, fair_share)
-            spent = service.advance(handle, max_measures=cap)
-            spent_total += spent
-            rounds_given[task] += 1
-            policy.record(task, service.current_latency(handle), trials=spent)
-            trajectory.append((spent_total, current_f()))
+        trajectory: List[Tuple[int, float]] = [(0, current_f())]
+        rounds, live = allocate_rounds(
+            policy,
+            network,
+            [sg.name for sg in network if not handles[sg.name].done],
+            n_trials,
+            run_round=lambda task, cap: service.advance(handles[task], max_measures=cap),
+            latency=lambda task: service.current_latency(handles[task]),
             # A finished job resolves every coalesced sibling handle too, so
             # structurally identical tasks leave the live set together.
-            live = [name for name in live if not handles[name].done]
-
+            done=lambda task: handles[task].done,
+        )
+        trajectory += rounds
         for name in live:
             service.finish(handles[name])
         if live:
-            trajectory.append((spent_total, current_f()))
+            trajectory.append((trajectory[-1][0], current_f()))
         return self._build_report(handles, trajectory)
 
     # ------------------------------------------------------------------ #

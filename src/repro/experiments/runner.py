@@ -11,9 +11,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.baselines.ansor import AnsorConfig, AnsorScheduler
+from repro.baselines.autotvm import SimulatedAnnealingScheduler
+from repro.baselines.flextensor import FlextensorScheduler
+from repro.core.allocation import tune_network
 from repro.core.config import HARLConfig
 from repro.core.scheduler import HARLScheduler
 from repro.core.tuner import NetworkTuningResult, TuningResult
@@ -32,6 +35,7 @@ __all__ = [
     "compare_on_network",
     "default_trials",
     "make_measurer",
+    "make_scheduler",
     "resolve_registry",
 ]
 
@@ -136,55 +140,71 @@ def make_measurer(
     return Measurer(target, **kwargs)
 
 
-def _default_factories(
+def make_scheduler(
+    name: str,
     target: HardwareTarget,
     config: HARLConfig,
     seed: int,
-    include: Sequence[str],
-    num_workers: int = 1,
-    records_dir: Optional[Union[str, Path]] = None,
-) -> Dict[str, Callable[[], object]]:
-    def pipeline_for(name: str):
-        """(measurer, record store) for one competitor.
+    measurer: Optional[Measurer] = None,
+    record_store=None,
+    warm_start_provider=None,
+):
+    """Build a scheduler by name.
 
-        Each competitor gets its own record store file so no information
-        leaks between them; the store is also handed to the scheduler so the
-        final 'result' line lands in the same log as the measurements.
-        """
-        store = None
-        if records_dir is not None:
-            store = RecordStore(Path(records_dir) / f"{name}.jsonl")
-        return make_measurer(target, config, seed, num_workers, store), store
-
-    def harl_factory(name: str, **overrides) -> Callable[[], HARLScheduler]:
-        def build():
-            measurer, store = pipeline_for(name)
-            return HARLScheduler(
-                target=target, config=config, seed=seed,
-                measurer=measurer, record_store=store, **overrides,
-            )
-        return build
-
-    factories: Dict[str, Callable[[], object]] = {}
-    if "ansor" in include:
-        def build_ansor():
-            measurer, store = pipeline_for("ansor")
-            return AnsorScheduler(
-                target=target, config=AnsorConfig.from_harl(config), seed=seed,
-                measurer=measurer, record_store=store,
-            )
-        factories["ansor"] = build_ansor
-    if "harl" in include:
-        factories["harl"] = harl_factory("harl")
-    if "hierarchical-rl" in include:
-        factories["hierarchical-rl"] = harl_factory(
-            "hierarchical-rl", adaptive_stopping=False
+    The one name -> scheduler factory shared by the CLI, the comparison
+    runners and :class:`~repro.serving.service.TuningService`.
+    ``"harl-no-subgraph-mab"`` (the Table 4 / Fig. 10 ablation) is HARL under
+    the greedy ``"gradient"`` network policy instead of its SW-UCB bandit.
+    Flextensor and the AutoTVM-style baseline tune single operators only.
+    """
+    if name in ("harl", "hierarchical-rl", "harl-no-subgraph-mab"):
+        scheduler = HARLScheduler(
+            target=target, config=config, seed=seed,
+            adaptive_stopping=(name != "hierarchical-rl"),
+            measurer=measurer, record_store=record_store,
+            warm_start_provider=warm_start_provider,
         )
-    if "harl-no-subgraph-mab" in include:
-        factories["harl-no-subgraph-mab"] = harl_factory(
-            "harl-no-subgraph-mab", use_subgraph_mab=False
+        if name == "harl-no-subgraph-mab":
+            scheduler.task_policy = "gradient"
+        return scheduler
+    if name == "ansor":
+        return AnsorScheduler(
+            target=target, config=AnsorConfig.from_harl(config), seed=seed,
+            measurer=measurer, record_store=record_store,
+            warm_start_provider=warm_start_provider,
         )
-    return factories
+    if name == "flextensor":
+        return FlextensorScheduler(
+            target=target, config=config, seed=seed,
+            measurer=measurer, record_store=record_store,
+        )
+    if name == "autotvm":
+        return SimulatedAnnealingScheduler(
+            target=target, seed=seed, measurer=measurer, record_store=record_store,
+        )
+    raise KeyError(f"unknown scheduler {name!r}")
+
+
+def _competitor(
+    name: str,
+    target: HardwareTarget,
+    config: HARLConfig,
+    seed: int,
+    num_workers: int,
+    records_dir: Optional[Union[str, Path]],
+):
+    """A fresh scheduler for one competitor of a head-to-head run.
+
+    Each competitor gets its own measurer and record store file
+    (``<records_dir>/<name>.jsonl``) so no information leaks between them;
+    the store is also handed to the scheduler so the final 'result' line
+    lands in the same log as the measurements.
+    """
+    store = None
+    if records_dir is not None:
+        store = RecordStore(Path(records_dir) / f"{name}.jsonl")
+    measurer = make_measurer(target, config, seed, num_workers, store)
+    return make_scheduler(name, target, config, seed, measurer=measurer, record_store=store)
 
 
 def compare_on_operator(
@@ -218,12 +238,9 @@ def compare_on_operator(
     target = target or cpu_target()
     config = config or HARLConfig.scaled()
     registry = resolve_registry(registry)
-    factories = _default_factories(
-        target, config, seed, schedulers, num_workers=num_workers, records_dir=records_dir
-    )
     results: Dict[str, TuningResult] = {}
     for name in schedulers:
-        scheduler = factories[name]()
+        scheduler = _competitor(name, target, config, seed, num_workers, records_dir)
         results[name] = scheduler.tune(dag, n_trials)
         if registry is not None:
             registry.record_result(dag, target, results[name], source=f"runner:{name}")
@@ -250,13 +267,10 @@ def compare_on_network(
     target = target or cpu_target()
     config = config or HARLConfig.scaled()
     registry = resolve_registry(registry)
-    factories = _default_factories(
-        target, config, seed, schedulers, num_workers=num_workers, records_dir=records_dir
-    )
     results: Dict[str, NetworkTuningResult] = {}
     for name in schedulers:
-        scheduler = factories[name]()
-        results[name] = scheduler.tune_network(network, n_trials)
+        scheduler = _competitor(name, target, config, seed, num_workers, records_dir)
+        results[name] = tune_network(scheduler, network, n_trials)
         if registry is not None:
             for sg in network:
                 task_result = results[name].task_results.get(sg.name)

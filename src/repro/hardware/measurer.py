@@ -280,7 +280,7 @@ class Measurer:
             )
             results.append(result)
             if self.record_store is not None:
-                self.record_store.record_measure(result)
+                self.record_store.record_measure(result, target=self.target.name)
         return results
 
     # ------------------------------------------------------------------ #

@@ -26,7 +26,6 @@ import io
 import json
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
@@ -172,7 +171,7 @@ class TuningRecord:
 
         ``check_workload=False`` skips the display-name check for callers
         that already matched identity structurally (e.g. via
-        :meth:`RecordStore.results_for`).
+        :meth:`RecordStore.query` with ``dag=``).
         """
         if self.schedule is None:
             raise ValueError(f"record for {self.workload!r} holds no schedule")
@@ -256,6 +255,10 @@ class MeasureRecord:
         DAG; empty for legacy records.  Persisting it through the record
         stream keeps registry entries recovered from a crashed service
         visible to nearest-neighbour / cross-target transfer.
+    target:
+        Name of the hardware target the latency was measured on; empty for
+        legacy records.  Identity is (fingerprint, target): a latency
+        measured on one device says nothing about another.
     """
 
     workload: str
@@ -266,6 +269,7 @@ class MeasureRecord:
     scheduler: str = ""
     fingerprint: str = ""
     embedding: Tuple[float, ...] = ()
+    target: str = ""
 
     def to_dict(self) -> dict:
         """JSON-compatible representation of this measurement."""
@@ -278,6 +282,7 @@ class MeasureRecord:
             "scheduler": self.scheduler,
             "fingerprint": self.fingerprint,
             "embedding": list(self.embedding),
+            "target": self.target,
         }
 
     @staticmethod
@@ -292,6 +297,7 @@ class MeasureRecord:
             scheduler=data.get("scheduler", ""),
             fingerprint=data.get("fingerprint", ""),
             embedding=tuple(float(v) for v in data.get("embedding", ())),
+            target=data.get("target", ""),
         )
 
     def restore_schedule(
@@ -466,11 +472,12 @@ class RecordStore:
             self._write_line_locked({"kind": "result", **record.to_dict()})
             self._results.append(record)
 
-    def record_measure(self, result, scheduler: str = "") -> None:
+    def record_measure(self, result, scheduler: str = "", target: str = "") -> None:
         """Append a live :class:`~repro.hardware.measurer.MeasureResult`.
 
-        This is the hook the measurer calls for every committed measurement;
-        it converts the in-memory result (which holds a live
+        This is the hook the measurer calls for every committed measurement
+        (``target`` names the device it measured on); it converts the
+        in-memory result (which holds a live
         :class:`~repro.tensor.schedule.Schedule`) into its structural
         serialisation.
         """
@@ -485,6 +492,7 @@ class RecordStore:
                 fingerprint=structural_fingerprint(result.schedule.dag),
                 # Memoised per DAG, so this costs one tuple() per measurement.
                 embedding=tuple(workload_embedding(result.schedule.dag).tolist()),
+                target=target,
             )
         )
 
@@ -547,75 +555,6 @@ class RecordStore:
         if best:
             return min(matching, key=lambda r: r.latency) if matching else None
         return matching
-
-    # -- deprecated accessor shims (all delegate to :meth:`query`) ----- #
-    def measures(self, workload: Optional[str] = None) -> List[MeasureRecord]:
-        """Deprecated: use :meth:`query` (``kind="measure"``)."""
-        warnings.warn(
-            "RecordStore.measures() is deprecated; use query(kind='measure')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(kind="measure", workload=workload)
-
-    def measures_for(self, dag: ComputeDAG) -> List[MeasureRecord]:
-        """Deprecated: use :meth:`query` (``kind="measure", dag=...``)."""
-        warnings.warn(
-            "RecordStore.measures_for() is deprecated; use query(kind='measure', dag=dag)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(kind="measure", dag=dag)
-
-    def results_for(self, dag: ComputeDAG) -> List[TuningRecord]:
-        """Deprecated: use :meth:`query` (``kind="result", dag=...``)."""
-        warnings.warn(
-            "RecordStore.results_for() is deprecated; use query(kind='result', dag=dag)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(kind="result", dag=dag)
-
-    def results(self, workload: Optional[str] = None) -> List[TuningRecord]:
-        """Deprecated: use :meth:`query` (``kind="result"``)."""
-        warnings.warn(
-            "RecordStore.results() is deprecated; use query(kind='result')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(kind="result", workload=workload)
-
-    def best_measure(self, workload: str) -> MeasureRecord:
-        """Deprecated: use :meth:`query` (``kind="measure", best=True``)."""
-        warnings.warn(
-            "RecordStore.best_measure() is deprecated; use "
-            "query(kind='measure', workload=..., best=True)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        best = self.query(kind="measure", workload=workload, best=True)
-        if best is None:
-            raise KeyError(f"no measurements for workload {workload!r}")
-        return best
-
-    def best_latency(self, workload: str) -> float:
-        """Deprecated: derive from :meth:`query` with ``best=True``.
-
-        Best latency seen for a workload across measures and results.
-        """
-        warnings.warn(
-            "RecordStore.best_latency() is deprecated; use "
-            "query(..., best=True) per record kind",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        candidates = [
-            r.latency
-            for kind in ("measure", "result")
-            for r in (self.query(kind=kind, workload=workload, best=True),)
-            if r is not None
-        ]
-        return min(candidates) if candidates else float("inf")
 
     def workloads(self) -> List[str]:
         """Sorted names of all workloads that appear in the store."""

@@ -56,12 +56,6 @@ rounded to the destination ``vector_width``, register/L1 working set shrunk
 to its cache capacities, and the unroll depth mapped onto the destination's
 candidate list.  Results recorded after a cross-target warm start carry the
 donor target in their provenance (``RegistryEntry.donor_target``).
-
-Deprecated surface
-------------------
-``get()`` / ``nearest()`` / ``cross_target_candidates()`` survive as thin
-wrappers over :meth:`lookup`'s internals and emit ``DeprecationWarning``;
-new code should call :meth:`lookup`.
 """
 
 from __future__ import annotations
@@ -71,7 +65,6 @@ import os
 import sys
 import threading
 import time
-import warnings
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -969,17 +962,6 @@ class ScheduleRegistry:
         (_HITS if entry is not None else _MISSES).inc()
         return entry
 
-    def get(self, fingerprint: str, target) -> Optional[RegistryEntry]:
-        """Deprecated: use ``lookup(fingerprint, target, k=0).entry``."""
-        warnings.warn(
-            "ScheduleRegistry.get() is deprecated; use "
-            "lookup(fingerprint, target, k=0).entry",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        target_name = target if isinstance(target, str) else target.name
-        return self._lookup_exact(fingerprint, target_name)
-
     def entries(self) -> List[RegistryEntry]:
         """Current best entry of every (fingerprint, target) key.
 
@@ -990,23 +972,6 @@ class ScheduleRegistry:
         with self._mutex:
             self._ensure_all_indexed_locked()
             return [self._materialise_locked(key) for key in sorted(self._index)]
-
-    def nearest(
-        self,
-        dag: ComputeDAG,
-        target,
-        k: int = 1,
-        exclude_exact: bool = True,
-    ) -> List[Tuple[float, RegistryEntry]]:
-        """Deprecated: use ``lookup(dag, target, k=k).neighbors``."""
-        warnings.warn(
-            "ScheduleRegistry.nearest() is deprecated; use "
-            "lookup(dag, target, k=k).neighbors",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        target_name = target if isinstance(target, str) else target.name
-        return self._nearest_impl(dag, target_name, k=k, exclude_exact=exclude_exact)
 
     def _nearest_impl(
         self, dag: ComputeDAG, target_name: str, k: int, exclude_exact: bool = True
@@ -1084,22 +1049,6 @@ class ScheduleRegistry:
             if len(out) == k:
                 break
         return out
-
-    def cross_target_candidates(
-        self,
-        dag: ComputeDAG,
-        target: HardwareTarget,
-        catalog=None,
-        k: int = 4,
-    ) -> List[Tuple[float, RegistryEntry]]:
-        """Deprecated: use ``lookup(dag, target, cross_target=True).transfers``."""
-        warnings.warn(
-            "ScheduleRegistry.cross_target_candidates() is deprecated; use "
-            "lookup(dag, target, cross_target=True, catalog=...).transfers",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._cross_target_impl(dag, target, catalog=catalog, k=k)
 
     def _cross_target_impl(
         self,

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.caching import cached_lowering
 from repro.core.config import HARLConfig
-from repro.core.scheduler import HARLScheduler
 from repro.core.subgraph_reward import SubgraphState, normalized_rewards
 from repro.core.tuner import TuningResult
 from repro.faults.plan import InjectedCrash, poll as poll_fault
@@ -164,8 +163,8 @@ class TuningService:
         finished job's registry provenance.
     scheduler_factory:
         Override job construction: ``factory(name, seed, warm_start_provider)
-        -> scheduler``.  The default builds :class:`HARLScheduler` /
-        :class:`~repro.baselines.ansor.AnsorScheduler` with the service's
+        -> scheduler``.  The default builds the named scheduler with
+        :func:`~repro.experiments.runner.make_scheduler` on the service's
         target, config and pipeline.
     warm_start:
         Disable to create jobs cold even when the registry holds relatives
@@ -236,33 +235,20 @@ class TuningService:
         provider = self._warm_start_provider()
         if self.scheduler_factory is not None:
             return self.scheduler_factory(name, seed, provider)
-        from repro.experiments.runner import make_measurer
+        from repro.experiments.runner import make_measurer, make_scheduler
 
         measurer = make_measurer(
             self.target, self.config, seed, self.num_workers, self.record_store
         )
-        if name in ("harl", "hierarchical-rl"):
-            return HARLScheduler(
-                target=self.target,
-                config=self.config,
-                seed=seed,
-                adaptive_stopping=(name == "harl"),
-                measurer=measurer,
-                record_store=self.record_store,
-                warm_start_provider=provider,
-            )
-        if name == "ansor":
-            from repro.baselines.ansor import AnsorConfig, AnsorScheduler
-
-            return AnsorScheduler(
-                target=self.target,
-                config=AnsorConfig.from_harl(self.config),
-                seed=seed,
-                measurer=measurer,
-                record_store=self.record_store,
-                warm_start_provider=provider,
-            )
-        raise KeyError(f"unknown service scheduler {name!r}")
+        return make_scheduler(
+            name,
+            self.target,
+            self.config,
+            seed,
+            measurer=measurer,
+            record_store=self.record_store,
+            warm_start_provider=provider,
+        )
 
     def _registry_answer(self, request: TuningRequest, fingerprint: str, entry):
         """Synthesize a zero-trial result from a registry entry.
@@ -503,9 +489,11 @@ class TuningService:
         commit and the job finish: the measurements were durably streamed to
         the :class:`~repro.records.RecordStore`, but the registry never saw
         the finished job.  Replaying the log's per-fingerprint best restores
-        the registry answer the crashed job would have produced.  Idempotent
-        (the registry only accepts strict improvements); returns how many
-        entries the registry accepted.
+        the registry answer the crashed job would have produced.  Records
+        measured on another target are skipped (legacy records without a
+        target are taken as this service's).  Idempotent (the registry only
+        accepts strict improvements); returns how many entries the registry
+        accepted.
         """
         from repro.serving.registry import RegistryEntry
 
@@ -517,7 +505,7 @@ class TuningService:
             counts: Dict[str, int] = {}
             for rec in store.query(kind="measure"):
                 fingerprint = getattr(rec, "fingerprint", "") or ""
-                if not fingerprint:
+                if not fingerprint or rec.target not in ("", self.target.name):
                     continue
                 counts[fingerprint] = counts.get(fingerprint, 0) + 1
                 held = best.get(fingerprint)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.autotvm import SimulatedAnnealingScheduler
+from repro.core.allocation import tune_network
 from repro.networks.bert import build_bert
 
 
@@ -36,7 +37,7 @@ class TestSimulatedAnnealing:
 
     def test_network_unsupported(self):
         with pytest.raises(NotImplementedError):
-            SimulatedAnnealingScheduler(seed=0).tune_network(build_bert(), n_trials=4)
+            tune_network(SimulatedAnnealingScheduler(seed=0), build_bert(), n_trials=4)
 
     def test_invalid_parameters_rejected(self, gemm_dag):
         with pytest.raises(ValueError):

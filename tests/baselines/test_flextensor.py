@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.flextensor import FlextensorScheduler
+from repro.core.allocation import tune_network
 from repro.networks.bert import build_bert
 
 
@@ -31,7 +32,7 @@ class TestFlextensor:
     def test_network_tuning_unsupported(self, tiny_config):
         scheduler = FlextensorScheduler(config=tiny_config, seed=0)
         with pytest.raises(NotImplementedError):
-            scheduler.tune_network(build_bert(), n_trials=10)
+            tune_network(scheduler, build_bert(), n_trials=10)
 
     def test_rejects_bad_budget(self, tiny_config, gemm_dag):
         with pytest.raises(ValueError):

@@ -92,12 +92,13 @@ class TestNetworkTuning:
         assert sum(result.allocations.values()) == result.trials_used
 
     def test_greedy_ablation_differs_from_mab(self, tiny_config, tiny_network):
-        mab = HARLScheduler(config=tiny_config, seed=0, use_subgraph_mab=True)
-        greedy = HARLScheduler(config=tiny_config, seed=0, use_subgraph_mab=False)
+        mab = HARLScheduler(config=tiny_config, seed=0)
+        greedy = HARLScheduler(config=tiny_config, seed=0)
         res_mab = mab.tune_network(tiny_network, n_trials=40)
-        res_greedy = greedy.tune_network(tiny_network, n_trials=40)
-        assert res_mab.extras["use_subgraph_mab"] is True
-        assert res_greedy.extras["use_subgraph_mab"] is False
+        res_greedy = greedy.tune_network(tiny_network, n_trials=40, policy="gradient")
+        assert res_mab.extras["policy"] == "bandit"
+        assert res_greedy.extras["policy"] == "gradient"
+        assert res_mab.allocations != res_greedy.allocations
         # Both produce a usable estimate.
         assert np.isfinite(res_mab.best_latency)
         assert np.isfinite(res_greedy.best_latency)

@@ -16,11 +16,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.network_runner import (
-    BanditTaskScheduler,
-    NetworkTuner,
-    make_task_policy,
-)
+from repro.core.allocation import BanditTaskScheduler, make_task_policy
+from repro.experiments.network_runner import NetworkTuner
 from repro.networks.graph import NetworkGraph, Subgraph
 from repro.serving.registry import ScheduleRegistry
 from repro.serving.service import SOURCE_REGISTRY, TuningService

@@ -476,3 +476,74 @@ class TestRecoverThenTransfer:
         )[0]
         donors = handle.result.extras.get("warm_start_donors", [])
         assert any("gemm_m64k64n64" in donor for donor in donors)
+
+
+class TestRecoveryKeepsTargets:
+    """Regression: a measurement knows its target, and recovery honours it.
+
+    Recovery used to stamp every record with the recovering service's
+    target, so a log tuned on an A100 and recovered by a Xeon service put
+    the A100 latency into a Xeon registry entry.
+    """
+
+    def _tune_on(self, target, tiny_config, log):
+        from repro.records import RecordStore
+
+        store = RecordStore(log)
+        TuningService(
+            registry=ScheduleRegistry(), target=target, config=tiny_config,
+            seed=0, record_store=store,
+        ).process([TuningRequest(dag=gemm(64, 64, 64), n_trials=8)])
+        store.close()
+
+    def _revive(self, target, tiny_config, log):
+        from repro.records import RecordStore
+
+        return TuningService(
+            registry=ScheduleRegistry(), target=target, config=tiny_config,
+            seed=0, record_store=RecordStore.load(log),
+        )
+
+    def test_measurements_carry_their_target(self, tiny_config, tmp_path):
+        from repro.hardware.catalog import default_catalog
+        from repro.records import RecordStore
+
+        a100 = default_catalog().get("a100-sxm")
+        self._tune_on(a100, tiny_config, tmp_path / "a100.jsonl")
+        records = RecordStore.load(tmp_path / "a100.jsonl").query(kind="measure")
+        assert records and {r.target for r in records} == {"a100-sxm"}
+
+    def test_other_target_records_are_not_recovered(self, tiny_config, tmp_path):
+        from repro.hardware.catalog import default_catalog
+
+        catalog = default_catalog()
+        a100, xeon = catalog.get("a100-sxm"), catalog.get("xeon-6226r")
+        log = tmp_path / "a100.jsonl"
+        self._tune_on(a100, tiny_config, log)
+
+        on_xeon = self._revive(xeon, tiny_config, log)
+        assert on_xeon.recover_from_records() == 0
+        assert on_xeon.registry.lookup(gemm(64, 64, 64), xeon, k=0).entry is None
+
+        on_a100 = self._revive(a100, tiny_config, log)
+        assert on_a100.recover_from_records() == 1
+        entry = on_a100.registry.lookup(gemm(64, 64, 64), a100, k=0).entry
+        assert entry is not None and entry.target == "a100-sxm"
+
+    def test_legacy_records_recover_as_the_services_target(self, tiny_config, tmp_path):
+        import json
+
+        from repro.hardware.catalog import default_catalog
+
+        xeon = default_catalog().get("xeon-6226r")
+        log = tmp_path / "legacy.jsonl"
+        self._tune_on(xeon, tiny_config, log)
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        for line in lines:
+            line.pop("target", None)
+        log.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+        revived = self._revive(xeon, tiny_config, log)
+        assert revived.recover_from_records() == 1
+        entry = revived.registry.lookup(gemm(64, 64, 64), xeon, k=0).entry
+        assert entry is not None and entry.target == "xeon-6226r"
