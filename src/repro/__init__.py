@@ -29,7 +29,7 @@ from repro.caching import (
 )
 from repro.core import HARLConfig, HARLScheduler, TuningResult
 from repro.baselines import AnsorScheduler, FlextensorScheduler, SimulatedAnnealingScheduler
-from repro.records import MeasureRecord, RecordStore, TuningRecord, load_records, save_records
+from repro.records import MeasureRecord, RecordStore, TuningRecord
 from repro.hardware import HardwareTarget, Measurer, ParallelMeasurer, cpu_target, gpu_target
 from repro.costmodel import ScheduleCostModel
 from repro.serving import (
@@ -86,9 +86,7 @@ __all__ = [
     "cached_sketches",
     "clear_caches",
     "legacy_hot_path",
-    "load_records",
     "reset_cache_stats",
-    "save_records",
     "batch_gemm",
     "build_bert",
     "build_mobilenet_v2",

@@ -4,13 +4,15 @@
   uniform sketch selection, evolutionary low-level search, greedy
   gradient-based task allocation, fixed-length rounds.
 * :class:`~repro.baselines.flextensor.FlextensorScheduler` — fixed-length RL
-  search on a single operator (no subgraph / sketch levels), used for the
+  search on one tiling sketch (no sketch level of its own), used for the
   motivation observation of Fig. 1(c).
 * :class:`~repro.baselines.autotvm.SimulatedAnnealingScheduler` — an
   AutoTVM-style simulated-annealing parameter search.
 
-Ansor's greedy gradient-based subgraph allocator is the ``"gradient"`` policy
-of :mod:`repro.core.allocation`, shared with HARL's network tuning.
+All of them, like HARL, are :class:`~repro.core.allocation.RoundScheduler`
+subclasses that supply only their search round.  Ansor's greedy
+gradient-based subgraph allocator is the ``"gradient"`` policy of
+:mod:`repro.core.allocation`, the network policy of every baseline.
 """
 
 from repro.baselines.evolutionary import EvolutionarySearch

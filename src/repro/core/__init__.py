@@ -9,8 +9,9 @@ The hierarchical adaptive auto-scheduler consists of
   values, and
 * the parameter-search episode loop (Algorithm 1) with cost-model-based
   top-K selection, tied together by :class:`~repro.core.scheduler.HARLScheduler`,
-* the network-level round allocation loop and its two task policies (greedy
-  Eq. 3 gradient, SW-UCB bandit) in :mod:`repro.core.allocation`.
+* the network-level round allocation loop, its two task policies (greedy
+  Eq. 3 gradient, SW-UCB bandit) and :class:`RoundScheduler`, the skeleton
+  every scheduler subclasses, in :mod:`repro.core.allocation`.
 """
 
 from repro.core.config import HARLConfig

@@ -11,8 +11,8 @@ single decision with two policies (Table 1, Eq. 3 / 4):
   same reward.
 
 :func:`allocate_rounds` is the loop.  It has two callers:
-:func:`tune_network` steps a round-drivable scheduler
-(:class:`RoundScheduler`: HARL, Ansor) through its own ``tune_round``, and
+:func:`tune_network` steps a :class:`RoundScheduler` (HARL, Ansor,
+AutoTVM-SA, Flextensor) through its own ``tune_round``, and
 :class:`~repro.experiments.network_runner.NetworkTuner` steps the jobs of a
 shared tuning service through ``TuningService.advance``.
 """
@@ -28,13 +28,18 @@ from repro.core.bandit import SlidingWindowUCB
 from repro.core.config import HARLConfig
 from repro.core.subgraph_reward import SubgraphState, normalized_rewards
 from repro.core.tuner import NetworkTuningResult, TuningResult
+from repro.costmodel.model import ScheduleCostModel
+from repro.hardware.measurer import MeasureResult, Measurer
+from repro.hardware.target import HardwareTarget, cpu_target
 from repro.networks.graph import NetworkGraph
 from repro.tensor.dag import ComputeDAG
+from repro.tensor.schedule import Schedule
 
 __all__ = [
     "BanditTaskScheduler",
     "GradientTaskScheduler",
     "RoundScheduler",
+    "WorkloadState",
     "allocate_rounds",
     "make_task_policy",
     "policy_name",
@@ -282,23 +287,189 @@ def allocate_rounds(
     return trajectory, live
 
 
-class RoundScheduler:
-    """Base of the round-drivable schedulers (HARL and the Ansor baseline).
+#: Best schedules remembered per workload as search warm starts (newest last).
+_MEMORY = 8
 
-    A subclass provides ``tune_round(dag, max_measures) -> trials`` (one
-    incremental search round) and ``finalize(dag) -> TuningResult``; this
-    class turns them into single-operator :meth:`tune` and end-to-end
-    :meth:`tune_network`.  ``task_policy`` names the network allocation
-    policy used when :meth:`tune_network` is given none.
+
+class WorkloadState:
+    """Per-workload state of a :class:`RoundScheduler`.
+
+    Subclasses extend it with their own search state (agents, sketches,
+    temperature); the base fields are owned by :class:`RoundScheduler`.
+    """
+
+    def __init__(self, dag: ComputeDAG):
+        self.dag = dag
+        #: Best schedule of each recent batch, newest last (search warm starts).
+        self.best_schedules: List[Schedule] = []
+        #: Transferred schedules still to be measured directly.
+        self.pending_warm_start: List[Schedule] = []
+        #: Trials spent measuring transferred schedules (provenance: these
+        #: trials bought donor knowledge, not fresh search).
+        self.warm_start_trials = 0
+        self.search_steps = 0
+        self.rounds = 0
+
+    def remember(self, results: Sequence[MeasureResult]) -> None:
+        """Keep the best schedule of one measured batch as a warm start."""
+        if results:
+            self.best_schedules.append(min(results, key=lambda r: r.latency).schedule)
+            del self.best_schedules[:-_MEMORY]
+
+
+class RoundScheduler:
+    """The one scheduler skeleton: HARL, Ansor, AutoTVM-SA and Flextensor.
+
+    A subclass supplies only its search round, :meth:`_search_round`, and
+    the ``extras`` of its results (:meth:`_extras`), and may extend the
+    per-workload :class:`WorkloadState` (:meth:`_new_state`).  This class
+    owns everything around the round:
+
+    * the pipeline: target and seed defaults, measurer, cost model, the
+      record store bound to the measurer, ``warm_start_provider`` (a callable
+      ``provider(dag) -> Sequence[Schedule]``, e.g.
+      :meth:`~repro.serving.registry.ScheduleRegistry.warm_start_schedules`),
+    * :meth:`resume_from`, replayed lazily per workload,
+    * warm starts: transferred schedules are measured directly, as one batch,
+      before the first search round,
+    * :meth:`tune_round`, :meth:`finalize` (persisting each result), and
+      the budget loops :meth:`tune` / :meth:`tune_network`.
+
+    ``task_policy`` names the network allocation policy used when
+    :meth:`tune_network` is given none.
     """
 
     task_policy = "gradient"
 
-    def tune_round(self, dag: ComputeDAG, max_measures: Optional[int] = None) -> int:
+    def __init__(
+        self,
+        target: Optional[HardwareTarget] = None,
+        config=None,
+        seed: int = 0,
+        cost_model: Optional[ScheduleCostModel] = None,
+        measurer: Optional[Measurer] = None,
+        record_store=None,
+        warm_start_provider=None,
+    ):
+        self.target = target or cpu_target()
+        self.config = config
+        self.seed = int(seed)
+        self._rng = np.random.default_rng(seed)
+        # A HARLConfig carries r_min; other configs leave the measurer default.
+        self.measurer = measurer or Measurer(
+            self.target,
+            min_repeat_seconds=getattr(config, "min_repeat_seconds", 1.0),
+            seed=seed,
+        )
+        self.cost_model = cost_model or ScheduleCostModel(seed=seed)
+        self.record_store = record_store
+        if record_store is not None and self.measurer.record_store is None:
+            self.measurer.record_store = record_store
+        self.warm_start_provider = warm_start_provider
+        self._resume_store = None
+        self._workloads: Dict[str, WorkloadState] = {}
+
+    # ------------------------------------------------------------------ #
+    # what a subclass supplies
+    # ------------------------------------------------------------------ #
+    def _new_state(self, dag: ComputeDAG) -> WorkloadState:
+        return WorkloadState(dag)
+
+    def _search_round(self, state: WorkloadState, max_measures: Optional[int]) -> int:
+        """Run one search round measuring at most ``max_measures`` schedules.
+
+        Returns the number of schedules the search visited.
+        """
         raise NotImplementedError
 
+    def _extras(self, state: WorkloadState) -> dict:
+        return {}
+
+    # ------------------------------------------------------------------ #
+    # persistence
+    # ------------------------------------------------------------------ #
+    def resume_from(self, store) -> "RoundScheduler":
+        """Resume tuning from a previously persisted record store.
+
+        The store's measurements are replayed lazily, per workload, the first
+        time each workload is touched: the cost model is warm-started with
+        the recorded (schedule, throughput) pairs, the measurer's best-known
+        statistics are preloaded, and the best recorded schedules seed the
+        search warm starts.  Per-workload state built before the call is
+        dropped, since it would miss the replay.  Returns ``self``.
+        """
+        self._resume_store = store
+        self._workloads.clear()
+        return self
+
+    def _workload(self, dag: ComputeDAG) -> WorkloadState:
+        """The state of ``dag``, prepared on first touch (including by
+        :meth:`finalize`): resume replay, then the warm-start fetch."""
+        state = self._workloads.get(dag.name)
+        if state is None:
+            state = self._new_state(dag)
+            self._workloads[dag.name] = state
+            if self._resume_store is not None:
+                restored = self._resume_store.replay(
+                    dag, cost_model=self.cost_model, measurer=self.measurer
+                )
+                state.best_schedules = list(reversed(restored[:_MEMORY]))
+            if self.warm_start_provider is not None:
+                state.pending_warm_start = list(self.warm_start_provider(dag) or [])
+        return state
+
+    # ------------------------------------------------------------------ #
+    # rounds and results
+    # ------------------------------------------------------------------ #
+    def _measure(self, state: WorkloadState, schedules: Sequence[Schedule]) -> List[MeasureResult]:
+        """Measure one batch, train the cost model, remember the batch's best."""
+        results = self.measurer.measure(schedules)
+        self.cost_model.update([r.schedule for r in results], [r.throughput for r in results])
+        state.remember(results)
+        return results
+
+    def tune_round(self, dag: ComputeDAG, max_measures: Optional[int] = None) -> int:
+        """Run one incremental tuning round; returns trials consumed.
+
+        This is the unit of work the multi-tenant
+        :class:`~repro.serving.service.TuningService` interleaves across
+        jobs: pending transferred schedules are measured first, as one
+        direct batch; after that each round is the subclass's search round.
+        At most ``max_measures`` schedules are measured.  Call
+        :meth:`finalize` once the caller's budget is exhausted.
+        """
+        if max_measures is not None and max_measures <= 0:
+            return 0
+        state = self._workload(dag)
+        before = self.measurer.trials(dag.name)
+        if state.pending_warm_start:
+            pending = state.pending_warm_start
+            budget = len(pending) if max_measures is None else min(len(pending), max_measures)
+            state.pending_warm_start = pending[budget:]
+            state.warm_start_trials += len(self._measure(state, pending[:budget]))
+        else:
+            state.search_steps += self._search_round(state, max_measures)
+            state.rounds += 1
+        return self.measurer.trials(dag.name) - before
+
     def finalize(self, dag: ComputeDAG) -> TuningResult:
-        raise NotImplementedError
+        """Build (and persist) the current tuning result of one workload."""
+        state = self._workload(dag)
+        best_latency = self.measurer.best_latency(dag.name)
+        result = TuningResult(
+            workload=dag.name,
+            scheduler=self.name,
+            best_latency=best_latency,
+            best_throughput=dag.flops / best_latency if np.isfinite(best_latency) else 0.0,
+            best_schedule=self.measurer.best_schedule(dag.name),
+            trials_used=self.measurer.trials(dag.name),
+            search_steps=state.search_steps,
+            history=self.measurer.history(dag.name),
+            extras=self._extras(state),
+        )
+        if self.record_store is not None:
+            self.record_store.append_result(result)
+        return result
 
     def tune(self, dag: ComputeDAG, n_trials: int) -> TuningResult:
         """Tune one operator / subgraph within a budget of measurement trials."""
@@ -326,14 +497,7 @@ def tune_network(
 
     ``policy`` is a policy name (see :func:`make_task_policy`), a ready-made
     policy object, or ``None`` for the scheduler's own ``task_policy``.
-    Schedulers without ``tune_round`` cannot be interleaved across tasks and
-    raise :class:`NotImplementedError`.
     """
-    if not callable(getattr(scheduler, "tune_round", None)):
-        raise NotImplementedError(
-            f"scheduler {scheduler.name!r} has no tune_round, so it supports "
-            "single-operator tuning only"
-        )
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if policy is None:

@@ -25,28 +25,26 @@ import numpy as np
 from repro.caching import cached_sketches_for_target
 from repro.core.actor_critic import PPOAgent
 from repro.core.adaptive_stopping import AdaptiveStopper, FixedLengthStopper
-from repro.core.allocation import RoundScheduler
+from repro.core.allocation import RoundScheduler, WorkloadState
 from repro.core.bandit import SlidingWindowUCB
 from repro.core.config import HARLConfig
-from repro.core.parameter_search import EpisodeResult, ParameterSearcher
-from repro.core.tuner import TuningResult
+from repro.core.parameter_search import ParameterSearcher
 from repro.costmodel.model import ScheduleCostModel
 from repro.hardware.measurer import Measurer
-from repro.hardware.target import HardwareTarget, cpu_target
+from repro.hardware.target import HardwareTarget
 from repro.tensor.actions import ActionSpace
 from repro.tensor.dag import ComputeDAG
 from repro.tensor.features import FEATURE_SIZE
-from repro.tensor.schedule import Schedule
 from repro.tensor.sketch import Sketch
 
 __all__ = ["HARLScheduler"]
 
 
-class _TaskContext:
-    """Per-subgraph tuning state: sketches, sketch bandit, agents, searchers."""
+class _TaskContext(WorkloadState):
+    """Per-subgraph tuning state: sketches, sketch bandit, searchers."""
 
     def __init__(self, dag: ComputeDAG, scheduler: "HARLScheduler"):
-        self.dag = dag
+        super().__init__(dag)
         # Sketch families are memoised per (workload, target depths): repeat
         # jobs for one workload — service resubmissions, network sweeps —
         # share one generation instead of regenerating per task context.
@@ -58,52 +56,27 @@ class _TaskContext:
             window=cfg.ucb_window,
             rng=scheduler._rng,
         )
-        self.agents: Dict[int, PPOAgent] = {}
         self.searchers: Dict[int, ParameterSearcher] = {}
-        self.best_schedules: List[Schedule] = []
-        #: Transferred schedules (from a registry / warm-start provider) that
-        #: should be measured directly before regular search rounds begin.
-        self.pending_warm_start: List[Schedule] = []
-        #: Trials spent measuring transferred schedules (for provenance /
-        #: sample-efficiency reporting: these trials bought donor knowledge,
-        #: not fresh search).
-        self.warm_start_trials = 0
         self.critical_positions: List[float] = []
         self.track_lengths: List[int] = []
-        self.episodes = 0
-        self.search_steps = 0
 
 
 class HARLScheduler(RoundScheduler):
     """Hierarchical Adaptive RL auto-scheduler (the paper's contribution).
 
+    The pipeline arguments (``target``, ``seed``, ``cost_model``,
+    ``measurer``, ``record_store``, ``warm_start_provider``) are those of
+    :class:`~repro.core.allocation.RoundScheduler`; the default measurer
+    repeats for ``config.min_repeat_seconds``.
+
     Parameters
     ----------
-    target:
-        Simulated hardware target (defaults to the CPU preset).
     config:
         Hyper-parameters; defaults to the paper's Table 5 values.
     adaptive_stopping:
         Disable to obtain the fixed-length "Hierarchical-RL" ablation.
     use_sketch_mab:
         Disable to select sketches uniformly at random (Ansor-style).
-    measurer:
-        Measurement backend; pass a
-        :class:`~repro.hardware.parallel.ParallelMeasurer` to fan measurement
-        batches out over a worker pool (results are identical to the serial
-        default for the same seed).
-    record_store:
-        Optional :class:`~repro.records.RecordStore`.  When given, every
-        measurement is streamed to the store's JSONL log as it happens and
-        each final tuning result is appended on completion, so the run is
-        resumable via :meth:`resume_from`.
-    warm_start_provider:
-        Optional callable ``provider(dag) -> Sequence[Schedule]`` consulted
-        the first time each workload is tuned (e.g.
-        :meth:`~repro.serving.registry.ScheduleRegistry.warm_start_schedules`).
-        The returned schedules are measured directly before regular search
-        rounds start, which both seeds the episode warm starts and teaches
-        the cost model the transferred knowledge.
     """
 
     name = "harl"
@@ -121,60 +94,18 @@ class HARLScheduler(RoundScheduler):
         record_store=None,
         warm_start_provider=None,
     ):
-        self.target = target or cpu_target()
-        self.config = config or HARLConfig()
-        self.seed = int(seed)
+        super().__init__(
+            target=target, config=config or HARLConfig(), seed=seed,
+            cost_model=cost_model, measurer=measurer, record_store=record_store,
+            warm_start_provider=warm_start_provider,
+        )
         self.adaptive_stopping = bool(adaptive_stopping)
         self.use_sketch_mab = bool(use_sketch_mab)
-        self._rng = np.random.default_rng(seed)
-        self.measurer = measurer or Measurer(
-            self.target, min_repeat_seconds=self.config.min_repeat_seconds, seed=seed
-        )
-        self.cost_model = cost_model or ScheduleCostModel(seed=seed)
-        self.record_store = record_store
-        if record_store is not None and self.measurer.record_store is None:
-            self.measurer.record_store = record_store
-        self.warm_start_provider = warm_start_provider
-        self._resume_store = None
-        self._tasks: Dict[str, _TaskContext] = {}
-
         if not adaptive_stopping:
             self.name = "hierarchical-rl"
 
-    # ------------------------------------------------------------------ #
-    # persistence
-    # ------------------------------------------------------------------ #
-    def resume_from(self, store) -> "HARLScheduler":
-        """Resume tuning from a previously persisted record store.
-
-        The store's measurements are replayed lazily, per workload, the first
-        time each workload is tuned: the cost model is warm-started with the
-        recorded (schedule, throughput) pairs, the measurer's best-known
-        statistics are preloaded, and the best recorded schedules seed the
-        episode warm starts.  Returns ``self`` for chaining.
-        """
-        self._resume_store = store
-        # Contexts built before the call would miss the replay.
-        self._tasks.clear()
-        return self
-
-    # ------------------------------------------------------------------ #
-    # construction helpers
-    # ------------------------------------------------------------------ #
-    def _task(self, dag: ComputeDAG) -> _TaskContext:
-        ctx = self._tasks.get(dag.name)
-        if ctx is None:
-            ctx = _TaskContext(dag, self)
-            self._tasks[dag.name] = ctx
-            if self._resume_store is not None:
-                restored = self._resume_store.replay(
-                    dag, cost_model=self.cost_model, measurer=self.measurer
-                )
-                # Best recorded schedules become episode warm starts.
-                ctx.best_schedules = list(reversed(restored[:4]))
-            if self.warm_start_provider is not None:
-                ctx.pending_warm_start = list(self.warm_start_provider(dag) or [])
-        return ctx
+    def _new_state(self, dag: ComputeDAG) -> _TaskContext:
+        return _TaskContext(dag, self)
 
     def _make_stopper(self):
         if self.adaptive_stopping:
@@ -195,7 +126,6 @@ class HARLScheduler(RoundScheduler):
                 config=self.config,
                 seed=self.seed + 97 * sketch_index + len(ctx.dag.name),
             )
-            ctx.agents[sketch_index] = agent
             searcher = ParameterSearcher(
                 sketch=sketch,
                 agent=agent,
@@ -208,75 +138,8 @@ class HARLScheduler(RoundScheduler):
             ctx.searchers[sketch_index] = searcher
         return searcher
 
-    # ------------------------------------------------------------------ #
-    # round-drivable API (tune / tune_network come from RoundScheduler)
-    # ------------------------------------------------------------------ #
-    def tune_round(self, dag: ComputeDAG, max_measures: Optional[int] = None) -> int:
-        """Run one incremental tuning round; returns trials consumed.
-
-        This is the unit of work the multi-tenant
-        :class:`~repro.serving.service.TuningService` interleaves across
-        jobs: one sketch-bandit choice plus one parameter-search episode
-        (or a warm-start measurement batch), bounded by ``max_measures``.
-        Call :meth:`finalize` once the caller's budget is exhausted.
-        """
-        if max_measures is not None and max_measures <= 0:
-            return 0
-        ctx = self._task(dag)
-        before = self.measurer.trials(dag.name)
-        self._run_round(ctx, max_measures=max_measures)
-        return self.measurer.trials(dag.name) - before
-
-    def finalize(self, dag: ComputeDAG) -> TuningResult:
-        """Build (and persist) the current tuning result of one workload."""
-        result = self._build_result(self._task(dag))
-        self._persist_result(result)
-        return result
-
-    def _persist_result(self, result: TuningResult) -> None:
-        """Append a final tuning result to the record store, if one is attached."""
-        if self.record_store is not None:
-            self.record_store.append_result(result)
-
-    def _consume_warm_start(
-        self, ctx: _TaskContext, max_measures: Optional[int] = None
-    ) -> EpisodeResult:
-        """Measure pending transferred schedules as one direct batch.
-
-        Transferred (registry) schedules skip the search entirely: they are
-        measured immediately, their outcomes train the cost model, and the
-        best of them seeds the episode warm starts — so a warm-started run
-        reaches its donor's quality within the first few trials.
-        """
-        budget = len(ctx.pending_warm_start)
-        if max_measures is not None:
-            budget = min(budget, max_measures)
-        batch = ctx.pending_warm_start[:budget]
-        ctx.pending_warm_start = ctx.pending_warm_start[budget:]
-        results = self.measurer.measure(batch)
-        ctx.warm_start_trials += len(results)
-        self.cost_model.update(
-            [r.schedule for r in results], [r.throughput for r in results]
-        )
-        if results:
-            best = min(results, key=lambda r: r.latency)
-            ctx.best_schedules.append(best.schedule)
-            ctx.best_schedules = ctx.best_schedules[-8:]
-        latencies = [r.latency for r in results]
-        return EpisodeResult(
-            measured=results,
-            best_latency=float(min(latencies)) if latencies else float("inf"),
-            best_throughput=float(max(r.throughput for r in results)) if results else 0.0,
-            num_steps=0,
-            num_visited=len(results),
-            track_lengths=[],
-            critical_positions=[],
-        )
-
-    def _run_round(self, ctx: _TaskContext, max_measures: Optional[int] = None) -> EpisodeResult:
-        """One tuning round: pick a sketch, run one parameter-search episode."""
-        if ctx.pending_warm_start:
-            return self._consume_warm_start(ctx, max_measures)
+    def _search_round(self, ctx: _TaskContext, max_measures: Optional[int]) -> int:
+        """Pick a sketch, run one parameter-search episode, reward the sketch."""
         if self.use_sketch_mab:
             sketch_index = ctx.sketch_mab.select()
         else:
@@ -285,9 +148,6 @@ class HARLScheduler(RoundScheduler):
         searcher = self._searcher(ctx, sketch_index)
         warm_start = ctx.best_schedules[-4:] if ctx.best_schedules else None
         episode = searcher.run_episode(warm_start=warm_start, max_measures=max_measures)
-
-        ctx.episodes += 1
-        ctx.search_steps += episode.num_visited
         ctx.critical_positions.extend(episode.critical_positions)
         ctx.track_lengths.extend(episode.track_lengths)
 
@@ -297,32 +157,15 @@ class HARLScheduler(RoundScheduler):
         else:
             reward = 0.0
         ctx.sketch_mab.update(sketch_index, reward)
+        ctx.remember(episode.measured)
+        return episode.num_visited
 
-        if episode.measured:
-            best = min(episode.measured, key=lambda r: r.latency)
-            ctx.best_schedules.append(best.schedule)
-            ctx.best_schedules = ctx.best_schedules[-8:]
-        return episode
-
-    def _build_result(self, ctx: _TaskContext) -> TuningResult:
-        name = ctx.dag.name
-        best_latency = self.measurer.best_latency(name)
-        best_schedule = self.measurer.best_schedule(name)
-        return TuningResult(
-            workload=name,
-            scheduler=self.name,
-            best_latency=best_latency,
-            best_throughput=ctx.dag.flops / best_latency if np.isfinite(best_latency) else 0.0,
-            best_schedule=best_schedule,
-            trials_used=self.measurer.trials(name),
-            search_steps=ctx.search_steps,
-            history=self.measurer.history(name),
-            extras={
-                "episodes": ctx.episodes,
-                "warm_start_trials": ctx.warm_start_trials,
-                "critical_positions": list(ctx.critical_positions),
-                "track_lengths": list(ctx.track_lengths),
-                "sketch_plays": ctx.sketch_mab.total_plays().tolist(),
-                "sketch_keys": [s.key for s in ctx.sketches],
-            },
-        )
+    def _extras(self, ctx: _TaskContext) -> dict:
+        return {
+            "episodes": ctx.rounds,
+            "warm_start_trials": ctx.warm_start_trials,
+            "critical_positions": list(ctx.critical_positions),
+            "track_lengths": list(ctx.track_lengths),
+            "sketch_plays": ctx.sketch_mab.total_plays().tolist(),
+            "sketch_keys": [s.key for s in ctx.sketches],
+        }

@@ -155,7 +155,6 @@ def make_scheduler(
     runners and :class:`~repro.serving.service.TuningService`.
     ``"harl-no-subgraph-mab"`` (the Table 4 / Fig. 10 ablation) is HARL under
     the greedy ``"gradient"`` network policy instead of its SW-UCB bandit.
-    Flextensor and the AutoTVM-style baseline tune single operators only.
     """
     if name in ("harl", "hierarchical-rl", "harl-no-subgraph-mab"):
         scheduler = HARLScheduler(
@@ -177,10 +176,12 @@ def make_scheduler(
         return FlextensorScheduler(
             target=target, config=config, seed=seed,
             measurer=measurer, record_store=record_store,
+            warm_start_provider=warm_start_provider,
         )
     if name == "autotvm":
         return SimulatedAnnealingScheduler(
             target=target, seed=seed, measurer=measurer, record_store=record_store,
+            warm_start_provider=warm_start_provider,
         )
     raise KeyError(f"unknown scheduler {name!r}")
 

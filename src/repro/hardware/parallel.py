@@ -10,7 +10,8 @@ for the serial :class:`~repro.hardware.measurer.Measurer`:
   batch is fanned out, so each task is a pure function of its inputs and
   results do not depend on worker count or completion order.
 * **Atomic batch commits** — workers only evaluate the pure
-  :func:`~repro.hardware.measurer.simulate_measurement` function; all
+  :func:`~repro.hardware.measurer.simulate_measurement_batch` function over
+  their span of the batch; all
   statistics (trial counters, best-per-workload, progress history) are
   folded in by the inherited ``_commit_batch`` in submission order, exactly
   as a serial run would.

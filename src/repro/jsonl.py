@@ -14,6 +14,11 @@ per-line invariant before any parsing or appending happens.
 A complete final line that merely lacks its newline is valid JSON and is left
 alone; mid-file corruption is *not* touched here — that is a data-integrity
 question the stores answer via their ``strict`` policy.
+
+:func:`append_line` is the live counterpart: both stores append through it,
+and a write or flush that fails with an ``OSError`` (e.g. ENOSPC after half
+a line) is truncated back to the pre-append length before the error
+propagates, so the next append starts on a clean line.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ import json
 import os
 import warnings
 from pathlib import Path
+from typing import IO, AnyStr, Callable, Optional
 
-__all__ = ["repair_torn_tail"]
+__all__ = ["append_line", "repair_torn_tail"]
 
 #: How many bytes of tail to pull in per backwards step while hunting for the
 #: final newline.  A torn line is one JSON object (a few hundred bytes), so
@@ -92,3 +98,33 @@ def repair_torn_tail(path: Path, label: str = "JSONL file") -> int:
         stacklevel=2,
     )
     return removed
+
+
+def append_line(
+    fh: IO[AnyStr], line: AnyStr, fault: Optional[Callable[[], None]] = None
+) -> int:
+    """Append one complete ``line`` at the end of ``fh``; returns its offset.
+
+    The caller holds the store's lock and updates its in-memory state only
+    after this returns: on an ``OSError`` the file is truncated back to the
+    returned offset (best effort) and the error re-raised, so memory and disk
+    still agree and a retry appends a clean line instead of concatenating
+    onto a partial one.  ``fault`` is the store's fault-injection poll, run
+    after the offset is pinned; any other exception it raises (a simulated
+    crash) propagates without rollback, like a real process death.
+    """
+    # "a" mode leaves the initial position platform-defined; pin it to the
+    # end so the rollback offset is trustworthy.
+    offset = fh.seek(0, os.SEEK_END)
+    try:
+        if fault is not None:
+            fault()
+        fh.write(line)
+        fh.flush()
+    except OSError:
+        try:
+            fh.truncate(offset)
+        except OSError:
+            pass  # the disk is truly wedged; load-time repair takes over
+        raise
+    return offset

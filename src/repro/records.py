@@ -1,19 +1,16 @@
 """Persistence of tuning results (the equivalent of TVM's log-file records).
 
 Auto-scheduler users keep the best schedules found during long tuning runs so
-they can be re-applied without re-tuning.  This module provides two layers of
-persistence:
-
-* **Snapshot files** — :func:`save_records` / :func:`load_records` write the
-  final :class:`TuningRecord` of each workload to one JSON document, the
-  original seed format.
-* **Append-only JSONL logs** — :class:`RecordStore` streams every individual
-  measurement (and final result) to disk *as it happens*, one JSON object per
-  line.  Because lines are appended and flushed eagerly, a killed tuning run
-  loses at most the line being written; :meth:`RecordStore.load` tolerates a
-  truncated or corrupted trailing line.  A store can be replayed into a fresh
-  scheduler (warm-starting its cost model and best-schedule statistics), which
-  is what powers the CLI's ``--records-out`` / ``--resume-from`` flags.
+they can be re-applied without re-tuning.  :class:`RecordStore` is an
+append-only JSONL log: it streams every individual measurement (and final
+result, as a :class:`TuningRecord`) to disk *as it happens*, one JSON object
+per line.  Because lines are appended and flushed eagerly, a killed tuning
+run loses at most the line being written; :meth:`RecordStore.load` tolerates
+a truncated or corrupted trailing line.  A store can be replayed into a fresh
+scheduler (warm-starting its cost model and best-schedule statistics), which
+is what powers the CLI's ``--records-out`` / ``--resume-from`` flags.  The
+portable exchange format for best schedules is the schedule registry's
+``export_file`` / ``import_file``.
 
 Schedules are serialised structurally (sketch key, tiling depths, knob
 values) and restored against a freshly-built compute DAG of the same
@@ -22,17 +19,16 @@ workload.
 
 from __future__ import annotations
 
-import io
 import json
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Iterator, List, Optional, Tuple, Union
 
 from repro.core.tuner import TuningResult
 from repro.faults.plan import poll as poll_fault
-from repro.jsonl import repair_torn_tail
+from repro.jsonl import append_line, repair_torn_tail
 from repro.obs.metrics import counter, histogram
 from repro.serving.fingerprint import structural_fingerprint, workload_embedding
 from repro.tensor.dag import ComputeDAG
@@ -51,9 +47,6 @@ __all__ = [
     "schedule_to_dict",
     "schedule_from_dict",
     "result_to_record",
-    "save_records",
-    "load_records",
-    "best_record",
 ]
 
 
@@ -194,35 +187,6 @@ def result_to_record(result: TuningResult) -> TuningRecord:
             else ""
         ),
     )
-
-
-def save_records(path: Union[str, Path], records: Sequence[Union[TuningRecord, TuningResult]]) -> Path:
-    """Write records (or results, converted on the fly) to a JSON file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = []
-    for record in records:
-        if isinstance(record, TuningResult):
-            record = result_to_record(record)
-        payload.append(record.to_dict())
-    path.write_text(json.dumps({"version": 1, "records": payload}, indent=2))
-    return path
-
-
-def load_records(path: Union[str, Path]) -> List[TuningRecord]:
-    """Load records previously written by :func:`save_records`."""
-    data = json.loads(Path(path).read_text())
-    if data.get("version") != 1:
-        raise ValueError(f"unsupported record file version: {data.get('version')!r}")
-    return [TuningRecord.from_dict(entry) for entry in data["records"]]
-
-
-def best_record(records: Sequence[TuningRecord], workload: str) -> TuningRecord:
-    """The lowest-latency record for a workload."""
-    matching = [r for r in records if r.workload == workload]
-    if not matching:
-        raise KeyError(f"no record for workload {workload!r}")
-    return min(matching, key=lambda r: r.latency)
 
 
 # --------------------------------------------------------------------- #
@@ -401,42 +365,34 @@ class RecordStore:
     def _write_line_locked(self, payload: dict) -> None:
         """Durably append one line, keeping the log well-formed on failure.
 
-        Caller holds ``_lock``: the seek/tell/write/flush/rollback sequence
-        below assumes no concurrent append moves the file position.
-
-        A flush that fails (e.g. ENOSPC) may have written a partial line; the
-        log is rolled back to its pre-append length before the error is
-        re-raised, so a later retry appends a clean, complete line instead of
-        concatenating onto the partial one (which would corrupt the retried
-        record itself).  Load-time torn-tail repair remains the backstop when
-        even the rollback cannot complete.
+        Caller holds ``_lock`` and updates memory only after this returns;
+        :func:`~repro.jsonl.append_line` rolls a failed flush (e.g. ENOSPC
+        after a partial line) back before the error is re-raised.
         """
         if self.path is None:
             return
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("a", encoding="utf-8")
+        fh = self._fh
         line = json.dumps(payload) + "\n"
-        # "a" mode leaves the initial position platform-defined; pin it to the
-        # end so the rollback offset below is trustworthy.
-        self._fh.seek(0, io.SEEK_END)
-        committed = self._fh.tell()
-        began = time.perf_counter()
-        try:
+
+        def fault() -> None:
             fired = poll_fault("records.flush", detail=str(payload.get("kind", "")))
             if fired is not None:
                 if fired.spec.kind == "slow_disk":
                     fired.sleep()
                 elif fired.spec.kind == "enospc":
-                    self._fh.write(fired.torn_prefix(line))
-                    self._fh.flush()
+                    fh.write(fired.torn_prefix(line))
+                    fh.flush()
                     fired.raise_enospc()
-            self._fh.write(line)
-            self._fh.flush()
+
+        began = time.perf_counter()
+        try:
+            append_line(fh, line, fault)
         except OSError:
             self.flush_failures += 1
             _FLUSH_FAILURES.inc()
-            self._rollback_to(committed)
             raise
         elapsed = time.perf_counter() - began
         _APPENDS.inc()
@@ -444,14 +400,6 @@ class RecordStore:
         if elapsed > self.slow_flush_threshold:
             self.slow_flushes += 1
             _SLOW_FLUSHES.inc()
-
-    def _rollback_to(self, offset: int) -> None:
-        """Best-effort truncation of a partial append back to ``offset``."""
-        assert self._fh is not None
-        try:
-            self._fh.truncate(offset)
-        except OSError:
-            pass  # the disk is truly wedged; load-time repair takes over
 
     def append_measure(self, record: MeasureRecord) -> None:
         """Append one measurement record to the log.

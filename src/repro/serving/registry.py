@@ -75,7 +75,7 @@ import numpy as np
 from repro.caching import MemoCache, cached_sketches, hot_path_enabled
 from repro.faults.plan import poll as poll_fault
 from repro.hardware.catalog import default_catalog, target_distance
-from repro.jsonl import repair_torn_tail
+from repro.jsonl import append_line, repair_torn_tail
 from repro.hardware.target import HardwareTarget
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span as obs_span
@@ -281,8 +281,7 @@ class _IndexEntry:
     Holds everything queries rank on (latency, embedding, has-schedule)
     without the parsed entry body; the body is materialised on demand by a
     ``seek``/``read`` at ``(path, offset, length)``.  ``offset < 0`` marks an
-    entry that lives only in memory (in-memory registries, or an append that
-    crashed between absorb and write on a dead object).
+    entry that lives only in memory (in-memory registries).
     """
 
     __slots__ = (
@@ -732,6 +731,11 @@ class ScheduleRegistry:
                 None,
             )
 
+    def _improves_locked(self, ie: _IndexEntry) -> bool:
+        """Whether ``ie`` beats the indexed best of its key (or creates it)."""
+        current = self._index.get(ie.key)
+        return not (current is not None and ie.latency >= current.latency)
+
     def _absorb_index_locked(
         self, ie: _IndexEntry, entry: Optional[RegistryEntry]
     ) -> bool:
@@ -741,10 +745,9 @@ class ScheduleRegistry:
         (a live :meth:`record`); scans pass ``None`` so a million-entry load
         indexes light records only and bodies stay on disk.
         """
-        key = ie.key
-        current = self._index.get(key)
-        if current is not None and ie.latency >= current.latency:
+        if not self._improves_locked(ie):
             return False
+        key = ie.key
         self._index[key] = ie
         self._targets.add(ie.target)
         self._matrices.pop(ie.target, None)
@@ -785,11 +788,16 @@ class ScheduleRegistry:
     # ------------------------------------------------------------------ #
     # appends
     # ------------------------------------------------------------------ #
-    def _append_locked(self, entry: RegistryEntry) -> None:
-        # Caller holds _mutex: the get-or-open handle dance and the
-        # write+flush+count must not interleave with another appender.
+    def _append_locked(self, entry: RegistryEntry) -> Optional[Tuple[Path, int, int]]:
+        """Durably append ``entry`` to its shard; returns its ``(path, offset, length)``.
+
+        Caller holds _mutex: the get-or-open handle dance and the
+        write+flush+count must not interleave with another appender.  A
+        failed flush is rolled back by :func:`~repro.jsonl.append_line`
+        and raises before anything here is counted.
+        """
         if self.root is None:
-            return
+            return None
         began = time.perf_counter()
         shard = self._shard_of(entry.fingerprint)
         fh = self._handles.get(shard)
@@ -801,23 +809,19 @@ class ScheduleRegistry:
             self._handles[shard] = fh
         line = json.dumps(entry.to_dict()) + "\n"
         data = line.encode("utf-8")
-        offset = fh.seek(0, os.SEEK_END)
-        fired = poll_fault(
-            "registry.append", detail=f"shard-{shard:02d}:{entry.fingerprint}"
-        )
-        if fired is not None:
-            if fired.spec.kind == "torn_write":
-                fh.write(fired.torn_prefix(line).encode("utf-8"))
-                fh.flush()
-            fired.crash(f"died appending {entry.fingerprint!r} to shard {shard}")
-        fh.write(data)
-        fh.flush()
+
+        def fault() -> None:
+            fired = poll_fault(
+                "registry.append", detail=f"shard-{shard:02d}:{entry.fingerprint}"
+            )
+            if fired is not None:
+                if fired.spec.kind == "torn_write":
+                    fh.write(fired.torn_prefix(line).encode("utf-8"))
+                    fh.flush()
+                fired.crash(f"died appending {entry.fingerprint!r} to shard {shard}")
+
+        offset = append_line(fh, data, fault)
         path = self._shard_path(shard)
-        ie = self._index.get(entry.key)
-        if ie is not None:
-            ie.path = path
-            ie.offset = offset
-            ie.length = len(data)
         state = self._files.get(path)
         if state is None:
             state = _FileState()
@@ -828,6 +832,7 @@ class ScheduleRegistry:
         state.dirty = True
         self.total_lines += 1
         _APPEND.observe(time.perf_counter() - began)
+        return path, offset, len(data)
 
     # ------------------------------------------------------------------ #
     # recording
@@ -840,25 +845,28 @@ class ScheduleRegistry:
         """
         if not entry.fingerprint:
             raise ValueError("registry entries need a non-empty fingerprint")
-        # Absorb + append must commit together: a second writer slipping in
-        # between them could absorb a worse entry over the unappended best,
-        # or append a line the best map never saw.  The key's shard is
+        # Append + absorb must commit together: a second writer slipping in
+        # between them could append a worse entry over the unabsorbed best,
+        # or absorb an entry the shard never saw.  The key's shard is
         # indexed first so the on-disk best takes part in the comparison.
         with self._mutex:
             self._ensure_key_indexed_locked(entry.fingerprint)
-            accepted = self._absorb_index_locked(
-                _IndexEntry(
-                    fingerprint=entry.fingerprint,
-                    target=sys.intern(entry.target),
-                    latency=entry.latency,
-                    has_schedule=entry.schedule is not None,
-                    embedding=entry.embedding,
-                ),
-                entry,
+            ie = _IndexEntry(
+                fingerprint=entry.fingerprint,
+                target=sys.intern(entry.target),
+                latency=entry.latency,
+                has_schedule=entry.schedule is not None,
+                embedding=entry.embedding,
             )
-            if accepted:
-                self._append_locked(entry)
-        return accepted
+            if not self._improves_locked(ie):
+                return False
+            # Disk before memory: a failed flush raises with the best map
+            # still matching what is durably on disk.
+            placed = self._append_locked(entry)
+            if placed is not None:
+                ie.path, ie.offset, ie.length = placed
+            self._absorb_index_locked(ie, entry)
+        return True
 
     def record_result(
         self, dag: ComputeDAG, target, result, source: str = "", donor_target: str = ""

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.autotvm import SimulatedAnnealingScheduler
-from repro.core.allocation import tune_network
-from repro.networks.bert import build_bert
 
 
 class TestSimulatedAnnealing:
@@ -34,10 +32,6 @@ class TestSimulatedAnnealing:
         result = scheduler.tune(gemm_dag, n_trials=12)
         bests = [latency for _t, latency in result.history]
         assert all(b <= a for a, b in zip(bests, bests[1:]))
-
-    def test_network_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            tune_network(SimulatedAnnealingScheduler(seed=0), build_bert(), n_trials=4)
 
     def test_invalid_parameters_rejected(self, gemm_dag):
         with pytest.raises(ValueError):

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.flextensor import FlextensorScheduler
-from repro.core.allocation import tune_network
-from repro.networks.bert import build_bert
 
 
 class TestFlextensor:
@@ -26,13 +24,8 @@ class TestFlextensor:
     def test_uses_single_sketch(self, tiny_config, gemm_dag):
         scheduler = FlextensorScheduler(config=tiny_config, seed=0)
         scheduler.tune(gemm_dag, n_trials=8)
-        searcher = scheduler._searchers[gemm_dag.name]
+        searcher = scheduler._workload(gemm_dag).searcher
         assert searcher.sketch.key == "tiling"
-
-    def test_network_tuning_unsupported(self, tiny_config):
-        scheduler = FlextensorScheduler(config=tiny_config, seed=0)
-        with pytest.raises(NotImplementedError):
-            tune_network(scheduler, build_bert(), n_trials=10)
 
     def test_rejects_bad_budget(self, tiny_config, gemm_dag):
         with pytest.raises(ValueError):

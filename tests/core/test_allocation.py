@@ -1,14 +1,17 @@
 """Tests for the one network-tuning loop (repro.core.allocation).
 
-* golden runs: seeded Ansor, HARL + ``"gradient"`` and ``NetworkTuner`` runs
-  on tiny networks must reproduce their pinned ``latency_history`` /
-  ``allocations`` bit for bit (``tests/data/golden_network_runs.json`` was
-  captured from the separate per-scheduler loops this module replaced),
+* golden runs: seeded network runs (Ansor, HARL under both policies,
+  ``NetworkTuner``) and single-operator runs (all four schedulers, plain,
+  warm-started and resumed) must reproduce their pinned traces bit for bit
+  (``tests/data/golden_network_runs.json`` was captured from the separate
+  per-scheduler loops and skeletons that ``RoundScheduler`` replaced),
 * budget starvation: a coarse config whose round measures more than
   ``n_trials / #tasks`` still measures every task and ends with a finite
   f(S),
 * the loop's contract: first-visit fair-share cap, exhausted tasks leave the
-  live set, schedulers without ``tune_round`` are rejected.
+  live set,
+* the scheduler contract, for each of the four schedulers: capped rounds,
+  spent budgets, resume replay, direct warm-start batches, network tuning.
 """
 
 import json
@@ -18,6 +21,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.ansor import AnsorConfig, AnsorScheduler
+from repro.baselines.autotvm import SimulatedAnnealingScheduler
+from repro.baselines.flextensor import FlextensorScheduler
 from repro.core.allocation import (
     GradientTaskScheduler,
     RoundScheduler,
@@ -27,9 +32,14 @@ from repro.core.allocation import (
 from repro.core.config import HARLConfig
 from repro.core.scheduler import HARLScheduler
 from repro.experiments.network_runner import NetworkTuner
+from repro.hardware.measurer import Measurer
+from repro.hardware.target import cpu_target
 from repro.networks.graph import NetworkGraph, Subgraph
+from repro.records import RecordStore
 from repro.serving.registry import ScheduleRegistry
 from repro.serving.service import TuningService
+from repro.tensor.sampler import sample_initial_schedules
+from repro.tensor.sketch import generate_sketches
 from repro.tensor.workloads import conv1d, gemm, softmax
 
 GOLDEN = json.loads(
@@ -68,9 +78,80 @@ def as_pairs(history):
     return [[trials, latency] for trials, latency in history]
 
 
+def tiny_gemm():
+    return gemm(64, 64, 64, name="tiny_gemm")
+
+
+def fixed_schedules(dag, count=6, seed=123):
+    """Schedules drawn independently of any scheduler's RNG."""
+    sketch = generate_sketches(dag)[0]
+    return sample_initial_schedules(sketch, count, np.random.default_rng(seed))
+
+
+def small_store(dag, path):
+    """A record store holding one seeded measurement batch of ``dag``."""
+    store = RecordStore(path)
+    Measurer(cpu_target(), seed=5, record_store=store).measure(fixed_schedules(dag, 10, 7))
+    store.close()
+    return RecordStore.load(path)
+
+
+def op_summary(result):
+    """The JSON-comparable trace of one single-operator run."""
+    return json.loads(json.dumps({
+        "history": as_pairs(result.history),
+        "trials_used": result.trials_used,
+        "search_steps": result.search_steps,
+        "extras": result.extras,
+    }))
+
+
+def _sa(config, **kwargs):
+    return SimulatedAnnealingScheduler(
+        num_chains=8, steps_per_round=8, measures_per_round=4, **kwargs
+    )
+
+
+#: Every scheduler of the repo, built on the tiny config: name -> factory(config, **kwargs).
+SCHEDULERS = {
+    "harl": lambda config, **kwargs: HARLScheduler(config=config, **kwargs),
+    "ansor": lambda config, **kwargs: AnsorScheduler(
+        config=AnsorConfig.from_harl(config), **kwargs
+    ),
+    "autotvm-sa": _sa,
+    "flextensor": lambda config, **kwargs: FlextensorScheduler(config=config, **kwargs),
+}
+
+
+def _plain(name):
+    return lambda config, tmp: SCHEDULERS[name](config, seed=0).tune(tiny_gemm(), n_trials=10)
+
+
+def _warm_started(name):
+    return lambda config, tmp: SCHEDULERS[name](
+        config, seed=0, warm_start_provider=fixed_schedules
+    ).tune(tiny_gemm(), n_trials=14)
+
+
+def _resumed(name):
+    return lambda config, tmp: SCHEDULERS[name](config, seed=1).resume_from(
+        small_store(tiny_gemm(), tmp / "log.jsonl")
+    ).tune(tiny_gemm(), n_trials=10)
+
+
+#: Seeded single-operator runs pinned in the golden file: name -> run(config, tmp_path).
+OPERATOR_RUNS = {
+    "autotvm-sa": _plain("autotvm-sa"),
+    "flextensor": _plain("flextensor"),
+    "harl-warm-start": _warm_started("harl"),
+    "ansor-warm-start": _warm_started("ansor"),
+    **{f"{name}-resume": _resumed(name) for name in SCHEDULERS},
+}
+
+
 @pytest.mark.network_smoke
 class TestGoldenRuns:
-    """Seeded network runs stay bit-reproducible."""
+    """Seeded network and single-operator runs stay bit-reproducible."""
 
     def test_ansor(self, tiny_config):
         scheduler = AnsorScheduler(config=AnsorConfig.from_harl(tiny_config), seed=0)
@@ -83,6 +164,19 @@ class TestGoldenRuns:
         result = scheduler.tune_network(tiny_network(), n_trials=40, policy="gradient")
         assert as_pairs(result.latency_history) == GOLDEN["harl-gradient"]["latency_history"]
         assert result.allocations == GOLDEN["harl-gradient"]["allocations"]
+
+    def test_harl_bandit(self, tiny_config):
+        result = HARLScheduler(config=tiny_config, seed=0).tune_network(
+            tiny_network(), n_trials=40
+        )
+        assert result.extras["policy"] == "bandit"
+        assert as_pairs(result.latency_history) == GOLDEN["harl-bandit"]["latency_history"]
+        assert result.allocations == GOLDEN["harl-bandit"]["allocations"]
+
+    @pytest.mark.parametrize("name", sorted(OPERATOR_RUNS))
+    def test_operator_run(self, name, tiny_config, tmp_path):
+        result = OPERATOR_RUNS[name](tiny_config, tmp_path)
+        assert op_summary(result) == GOLDEN[name]
 
     def test_network_tuner(self, tiny_config):
         service = TuningService(registry=ScheduleRegistry(), config=tiny_config, seed=0)
@@ -183,9 +277,39 @@ class TestLoopContract:
         assert scheduler.tune(gemm_dag, n_trials=100) == gemm_dag.name
         assert [cap for _name, cap in scheduler.caps] == [100, 96, 94]
 
-    def test_rejects_schedulers_without_rounds(self):
-        class OperatorOnly:
-            name = "operator-only"
 
-        with pytest.raises(NotImplementedError):
-            tune_network(OperatorOnly(), tiny_network(), n_trials=8)
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+class TestSchedulerContract:
+    """What every RoundScheduler owes its callers."""
+
+    def test_round_respects_its_cap(self, name, tiny_config):
+        scheduler = SCHEDULERS[name](tiny_config, seed=0)
+        assert scheduler.tune_round(tiny_gemm(), 0) == 0
+        assert 0 < scheduler.tune_round(tiny_gemm(), 3) <= 3
+
+    def test_tune_spends_the_budget(self, name, tiny_config):
+        result = SCHEDULERS[name](tiny_config, seed=0).tune(tiny_gemm(), n_trials=10)
+        assert result.trials_used >= 10
+        assert np.isfinite(result.best_latency)
+
+    def test_resume_replays(self, name, tiny_config, tmp_path):
+        store = small_store(tiny_gemm(), tmp_path / "log.jsonl")
+        scheduler = SCHEDULERS[name](tiny_config, seed=1).resume_from(store)
+        # finalize alone prepares the workload: no trial is spent, yet the
+        # measurer knows the log's best and the cost model learned the log.
+        result = scheduler.finalize(tiny_gemm())
+        assert result.trials_used == 0
+        assert result.best_latency == min(m.latency for m in store.query(kind="measure"))
+        assert scheduler.cost_model.num_samples(tiny_gemm().name) == 10
+
+    def test_warm_start_is_one_direct_batch(self, name, tiny_config):
+        scheduler = SCHEDULERS[name](tiny_config, seed=0, warm_start_provider=fixed_schedules)
+        assert scheduler.tune_round(tiny_gemm()) == 6
+        assert scheduler._workload(tiny_gemm()).warm_start_trials == 6
+
+    def test_tune_network(self, name, tiny_config):
+        scheduler = SCHEDULERS[name](tiny_config, seed=0)
+        result = scheduler.tune_network(tiny_network(), n_trials=24)
+        assert all(trials > 0 for trials in result.allocations.values()), result.allocations
+        assert sum(result.allocations.values()) == 24
+        assert np.isfinite(result.best_latency)

@@ -1,9 +1,13 @@
 """Registry crash-recovery tests: torn appends, torn tails, compaction crashes.
 
 The satellite regressions live here: a torn final JSONL line on *every*
-shard must be tolerated (truncate-and-warn, never raise), and a compaction
-killed midway must lose no entries.
+shard must be tolerated (truncate-and-warn, never raise), a compaction
+killed midway must lose no entries, and a flush that fails half-way (ENOSPC)
+rolls its bytes back so memory, disk and the next append stay consistent.
 """
+
+import errno
+import os
 
 import pytest
 
@@ -196,3 +200,43 @@ class TestCompactionCrashSafety:
         assert snapshot == {
             f.name: f.read_bytes() for f in sorted(root.glob("shard-*.jsonl"))
         }
+
+
+class _FullDisk:
+    """A shard handle whose next write lands half its bytes, then raises ENOSPC."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.armed = True
+
+    def write(self, data):
+        if self.armed:
+            self.armed = False
+            self._fh.write(data[: len(data) // 2])
+            self._fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestFailedFlushRollback:
+    """A shard flush that fails half-way must not corrupt memory or the next line."""
+
+    def test_failed_flush_keeps_memory_and_disk_agreeing(self, tmp_path):
+        root = tmp_path / "reg"
+        registry = ScheduleRegistry(root, num_shards=1)
+        registry.record(_entry(1, 2.0))
+        registry._handles[0] = _FullDisk(registry._handles[0])
+        with pytest.raises(OSError):
+            registry.record(_entry(1, 1.0))
+        # The failed entry was never committed: memory still serves the old best.
+        assert registry.lookup("wl-01", "sim-cpu", k=0).entry.latency == 2.0
+
+        # The next good entry lands on a clean line and survives a reload.
+        registry.record(_entry(2, 3.0))
+        registry.close()
+        reloaded = ScheduleRegistry(root, num_shards=1, strict=True)
+        assert _best_map(reloaded) == {("wl-01", "sim-cpu"): 2.0, ("wl-02", "sim-cpu"): 3.0}
+        assert reloaded.skipped_lines == 0
