@@ -40,7 +40,7 @@ network-smoke:
 ## Hot-path micro-benchmarks: emits a schema-versioned BENCH_perf.json with
 ## median/p95 wall-clock, throughput and fast-vs-legacy speedup per stage,
 ## and enforces the tentpole floors (feature extraction >= 3x, NetworkTuner
-## round >= 1.5x over the in-process legacy path).
+## round >= 1.5x over the scalar oracles in benchmarks/perf/oracles.py).
 perf:
 	$(PYTHON) benchmarks/perf/run.py --output BENCH_perf.json --check
 

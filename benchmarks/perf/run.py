@@ -7,12 +7,13 @@ cost-model prediction, sampler throughput, the vectorised simulator, a full
 schema-versioned ``BENCH_perf.json`` with median / p95 wall-clock and
 throughput per stage.
 
-Every vectorised stage is timed twice: once on the fast path and once under
-:func:`repro.caching.legacy_hot_path` (the pre-optimisation schedule-at-a-time
-implementation), so the reported ``speedup`` is machine-independent and the
-harness can verify the two paths produce equal results.  CI compares the
-emitted throughputs against ``benchmarks/perf/baseline.json`` via
-``compare.py`` and fails on regressions.
+Every vectorised stage is timed twice: once on the fast path and once on the
+pre-optimisation schedule-at-a-time oracles of ``benchmarks/perf/oracles.py``
+(called directly, or patched into the whole pipeline by
+:func:`~benchmarks.perf.oracles.reference_hot_path`), so the reported
+``speedup`` is machine-independent and the harness can verify the two paths
+produce equal results.  CI compares the emitted throughputs against
+``benchmarks/perf/baseline.json`` via ``compare.py`` and fails on regressions.
 
 Usage::
 
@@ -32,13 +33,19 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for _path in (REPO_ROOT / "src", REPO_ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np
 
+from benchmarks.perf.oracles import (
+    batch_latency_reference,
+    reference_hot_path,
+    stacked_schedule_features,
+)
 from repro import obs
-from repro.caching import cache_stats, clear_caches, legacy_hot_path, reset_cache_stats
+from repro.caching import cache_stats, clear_caches, reset_cache_stats
 from repro.core.config import HARLConfig
 from repro.costmodel.model import ScheduleCostModel
 from repro.experiments.network_runner import NetworkTuner
@@ -159,9 +166,8 @@ def _toy_network(name: str = "perf_net") -> NetworkGraph:
 def bench_feature_extraction(repeats: int, batch: int) -> Dict[str, object]:
     schedules = _schedule_batch(batch)
     fast = _time(lambda: batch_features(schedules), repeats)
-    with legacy_hot_path():
-        legacy = _time(lambda: batch_features(schedules), repeats)
-        reference = batch_features(schedules)
+    legacy = _time(lambda: stacked_schedule_features(schedules), repeats)
+    reference = stacked_schedule_features(schedules)
     if not np.array_equal(batch_features(schedules), reference):
         raise AssertionError("vectorised features differ from the serial reference")
     return _stage(
@@ -179,7 +185,7 @@ def bench_batched_prediction(repeats: int, batch: int) -> Dict[str, object]:
     model.update(train, [s.dag.flops / lat for s, lat in zip(train, latencies)])
 
     fast = _time(lambda: model.predict(schedules), repeats)
-    with legacy_hot_path():
+    with reference_hot_path():
         legacy = _time(
             lambda: [model.predict([schedule]) for schedule in schedules], repeats
         )
@@ -205,9 +211,8 @@ def bench_simulator(repeats: int, batch: int) -> Dict[str, object]:
     schedules = _schedule_batch(batch)
     simulator = LatencySimulator(cpu_target())
     fast = _time(lambda: simulator.batch_latency(schedules), repeats)
-    with legacy_hot_path():
-        legacy = _time(lambda: simulator.batch_latency(schedules), repeats)
-        reference = simulator.batch_latency(schedules)
+    legacy = _time(lambda: batch_latency_reference(simulator, schedules), repeats)
+    reference = batch_latency_reference(simulator, schedules)
     # The documented contract is agreement to floating-point rounding
     # (tests pin rtol=1e-9); on this repo's reference platform the paths are
     # bit-identical, but a NumPy build with SIMD transcendental dispatch may
@@ -231,7 +236,7 @@ def _run_network_tuning(n_trials: int) -> float:
 def bench_tuning_round(repeats: int, n_trials: int) -> Dict[str, object]:
     fast = _time(lambda: _run_network_tuning(n_trials), repeats, warmup=1)
     fast_result = _run_network_tuning(n_trials)
-    with legacy_hot_path():
+    with reference_hot_path():
         legacy = _time(lambda: _run_network_tuning(n_trials), repeats, warmup=0)
         legacy_result = _run_network_tuning(n_trials)
     if not np.isclose(fast_result, legacy_result, rtol=1e-9):
@@ -313,9 +318,22 @@ def bench_registry_warm_start(repeats: int, lookups: int) -> Dict[str, object]:
                 )
         return out
 
+    def candidates():
+        return [
+            [
+                (c.schedule.signature(), c.donor.key)
+                for c in registry.warm_start_transfers(dag, target, max_candidates=4)
+            ]
+            for dag in queries
+        ]
+
     fast = _time(run, repeats, warmup=2)
-    with legacy_hot_path():
+    fast_result = candidates()
+    with reference_hot_path():
         legacy = _time(run, repeats)
+        legacy_result = candidates()
+    if fast_result != legacy_result:
+        raise AssertionError("warm-start candidates differ from the reference ranking")
     return _stage("registry_warm_start", fast, lookups, "lookups/s", legacy)
 
 

@@ -12,7 +12,7 @@ attacks:
   ``compact()``) reads the manifest plus one index sidecar.
 * **batched nearest-neighbour scoring** — steady-state ``lookup(dag, target,
   k=8)`` over the per-target embedding matrix, vectorised vs. the per-entry
-  reference loop under :func:`repro.caching.legacy_hot_path`.
+  reference loop under :func:`benchmarks.perf.oracles.reference_hot_path`.
 
 Both reported speedups are machine-independent (both sides of each ratio are
 timed in the same process on the same data), so ``--check`` enforces the
@@ -38,12 +38,13 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for _path in (REPO_ROOT / "src", REPO_ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np
 
-from repro.caching import legacy_hot_path
+from benchmarks.perf.oracles import reference_hot_path
 from repro.serving.fingerprint import EMBEDDING_SIZE, structural_fingerprint
 from repro.serving.registry import ScheduleRegistry
 from repro.tensor.workloads import gemm
@@ -136,7 +137,7 @@ def time_nn(root: Path, shards: int, repeats: int, legacy_repeats: int) -> Dict:
         result = registry.lookup(dag, QUERY_TARGET, k=8)
         fast.append(time.perf_counter() - began)
     slow: List[float] = []
-    with legacy_hot_path():
+    with reference_hot_path():
         registry.lookup(dag, QUERY_TARGET, k=8)  # warm the reference path
         for _ in range(legacy_repeats):
             began = time.perf_counter()

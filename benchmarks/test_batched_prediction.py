@@ -76,7 +76,8 @@ def test_batched_prediction_faster_than_loop(trained_model_and_batch, print_repo
 
 
 def test_batched_feature_extraction_faster_than_loop(trained_model_and_batch, print_report):
-    from repro.tensor.features import batch_features, schedule_features
+    from benchmarks.perf.oracles import schedule_features
+    from repro.tensor.features import batch_features
 
     _model, batch = trained_model_and_batch
     batched_time = _best_of(3, lambda: batch_features(batch))

@@ -3,7 +3,9 @@
 This is the weak learner of the gradient-boosted cost model.  Splits minimise
 the squared-error criterion; split search is vectorised with NumPy prefix
 sums over the sorted feature values, so fitting stays fast for the few
-thousand samples collected during a tuning run.
+thousand samples collected during a tuning run.  The per-feature reference
+search it replaced lives in ``benchmarks/perf/oracles.py``, where the
+equivalence tests and the perf harness compare against it.
 
 Prediction is vectorised as well: after fitting, the tree is flattened into
 parallel node arrays (feature, threshold, child indices, leaf value) and a
@@ -19,8 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from repro.caching import hot_path_enabled
 
 __all__ = ["RegressionTree"]
 
@@ -171,11 +171,10 @@ class RegressionTree:
         (``axis=0``), so split search costs one sort of an ``(N, K)`` matrix
         instead of ``K`` per-feature sorts — the dominant cost of cost-model
         refits on the tuning hot path.  Gains, validity masks and the
-        first-maximum tie-breaking replicate :meth:`_best_split_reference`
-        bit for bit, so both implementations grow identical trees.
+        first-maximum tie-breaking replicate the per-feature reference search
+        (``benchmarks/perf/oracles.py``) bit for bit, so both grow identical
+        trees.
         """
-        if not hot_path_enabled():
-            return self._best_split_reference(X, y)
         n_samples, n_features = X.shape
         total_sum = float(np.sum(y))
         total_sq = float(np.sum(y * y))
@@ -217,53 +216,4 @@ class RegressionTree:
                 best_gain = float(col_gain[k])
                 best_feature = int(feature)
                 best_threshold = float((v_sorted[idx, k] + v_sorted[idx + 1, k]) / 2.0)
-        return best_feature, best_threshold, best_gain
-
-    def _best_split_reference(self, X: np.ndarray, y: np.ndarray):
-        """Per-feature reference split search (the pre-overhaul implementation)."""
-        n_samples, n_features = X.shape
-        total_sum = float(np.sum(y))
-        total_sq = float(np.sum(y * y))
-        base_sse = total_sq - total_sum * total_sum / n_samples
-
-        features = self._candidate_features(n_features)
-
-        best_feature, best_threshold, best_gain = -1, 0.0, 0.0
-        for feature in features:
-            values = X[:, feature]
-            order = np.argsort(values, kind="mergesort")
-            v_sorted = values[order]
-            y_sorted = y[order]
-
-            left_count = np.arange(1, n_samples)
-            left_sum = np.cumsum(y_sorted)[:-1]
-            left_sq = np.cumsum(y_sorted * y_sorted)[:-1]
-            right_count = n_samples - left_count
-            right_sum = total_sum - left_sum
-            right_sq = total_sq - left_sq
-
-            sse = (
-                left_sq
-                - left_sum * left_sum / left_count
-                + right_sq
-                - right_sum * right_sum / right_count
-            )
-            gains = base_sse - sse
-
-            # Valid split positions: both children big enough and distinct
-            # adjacent feature values (otherwise the threshold is degenerate).
-            valid = (
-                (left_count >= self.min_samples_leaf)
-                & (right_count >= self.min_samples_leaf)
-                & (v_sorted[:-1] < v_sorted[1:])
-            )
-            if not np.any(valid):
-                continue
-            gains = np.where(valid, gains, -np.inf)
-            idx = int(np.argmax(gains))
-            if gains[idx] > best_gain:
-                best_gain = float(gains[idx])
-                best_feature = int(feature)
-                best_threshold = float((v_sorted[idx] + v_sorted[idx + 1]) / 2.0)
-
         return best_feature, best_threshold, best_gain

@@ -63,6 +63,7 @@ def _tiny_config():
 
 
 def _entry(idx: int, latency: float, target: str = "sim-cpu"):
+    from repro.serving.fingerprint import EMBEDDING_SIZE
     from repro.serving.registry import RegistryEntry
 
     return RegistryEntry(
@@ -74,7 +75,7 @@ def _entry(idx: int, latency: float, target: str = "sim-cpu"):
         trials=8,
         scheduler="harl",
         schedule={"stub": idx},
-        embedding=(float(idx), 1.0),
+        embedding=(float(idx), 1.0) + (0.0,) * (EMBEDDING_SIZE - 2),
         source="scenario",
     )
 

@@ -19,7 +19,7 @@ from repro.hardware.catalog import (
     target_embedding,
 )
 from repro.hardware.simulator import LatencySimulator
-from repro.hardware.measurer import MeasureResult, Measurer, simulate_measurement
+from repro.hardware.measurer import MeasureResult, Measurer
 from repro.hardware.parallel import ParallelMeasurer
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "cpu_target",
     "default_catalog",
     "gpu_target",
-    "simulate_measurement",
     "target_distance",
     "target_embedding",
 ]

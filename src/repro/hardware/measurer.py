@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.caching import hot_path_enabled
 from repro.hardware.simulator import LatencySimulator
 from repro.hardware.target import HardwareTarget
 from repro.tensor.schedule import Schedule
@@ -36,7 +35,6 @@ from repro.tensor.schedule import Schedule
 __all__ = [
     "MeasureResult",
     "Measurer",
-    "simulate_measurement",
     "simulate_measurement_batch",
 ]
 
@@ -82,48 +80,6 @@ class _WorkloadStats:
     history: List[Tuple[int, float]] = field(default_factory=list)
 
 
-def simulate_measurement(
-    schedule: Schedule,
-    simulator: LatencySimulator,
-    noise: float,
-    min_repeat_seconds: float,
-    max_repeats: int,
-    noise_draw: float,
-) -> Tuple[float, int]:
-    """Simulate one hardware measurement of a schedule.
-
-    This is a pure function — it touches no shared state and consumes its
-    randomness as an explicit argument — which is what allows
-    :class:`~repro.hardware.parallel.ParallelMeasurer` to fan it out over a
-    worker pool without affecting determinism.
-
-    Parameters
-    ----------
-    schedule:
-        Candidate schedule to measure.
-    simulator:
-        Latency simulator for the hardware target.
-    noise:
-        Relative standard deviation of a single timing sample.
-    min_repeat_seconds:
-        Minimum wall time covered by repeated timing (``r_min``); more
-        repeats shrink the effective noise by ``sqrt(repeats)``.
-    max_repeats:
-        Upper bound on the number of repeats.
-    noise_draw:
-        A standard-normal draw supplied by the measurer (taken from its
-        sequential RNG in batch-submission order).
-
-    Returns
-    -------
-    (latency, repeats):
-        The noisy measured latency in seconds and the repeat count used.
-    """
-    return simulate_measurement_batch(
-        [schedule], simulator, noise, min_repeat_seconds, max_repeats, [noise_draw]
-    )[0]
-
-
 def simulate_measurement_batch(
     schedules: Sequence[Schedule],
     simulator: LatencySimulator,
@@ -134,12 +90,20 @@ def simulate_measurement_batch(
 ) -> List[Tuple[float, int]]:
     """Simulate hardware measurements of a whole batch in one vectorised pass.
 
-    The simulator consumes the batch through
+    A pure function: it touches no shared state and consumes its randomness
+    as explicit standard-normal ``noise_draws`` (one per schedule, taken by
+    the measurer in submission order), which is what lets
+    :class:`~repro.hardware.parallel.ParallelMeasurer` fan batches out over a
+    worker pool without affecting determinism.  The simulator consumes the
+    batch through
     :meth:`~repro.hardware.simulator.LatencySimulator.batch_latency` (one
     NumPy pass per sketch group) and the repeat/noise arithmetic is applied
-    as array expressions.  Per-element results are identical to calling
-    :func:`simulate_measurement` schedule by schedule, so worker pools may
-    split a batch into arbitrary chunks without changing any outcome.
+    as array expressions.  Per-element results do not depend on how the
+    batch is chunked, so worker pools may split it arbitrarily.
+
+    Returns one ``(measured latency in seconds, repeat count)`` pair per
+    schedule; more repeats (covering ``min_repeat_seconds``, at most
+    ``max_repeats``) shrink the relative ``noise`` by ``sqrt(repeats)``.
     """
     if not schedules:
         return []
@@ -225,24 +189,10 @@ class Measurer:
     ) -> List[Tuple[float, int]]:
         """Evaluate a batch of (schedule, noise draw) measurement tasks.
 
-        The whole batch goes to the simulator in one vectorised pass (under
-        :func:`~repro.caching.legacy_hot_path` it degrades to the original
-        per-schedule loop, which the perf harness times as the baseline).
+        The whole batch goes to the simulator in one vectorised pass.
         Subclasses override this hook to fan the batch out over a worker
         pool; results must be returned in submission order.
         """
-        if not hot_path_enabled():
-            return [
-                simulate_measurement(
-                    schedule,
-                    self.simulator,
-                    self.noise,
-                    self.min_repeat_seconds,
-                    self.max_repeats,
-                    draw,
-                )
-                for schedule, draw in zip(schedules, draws)
-            ]
         return simulate_measurement_batch(
             schedules,
             self.simulator,

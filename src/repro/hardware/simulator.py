@@ -21,20 +21,16 @@ The absolute numbers are not meant to match the paper's hardware; what
 matters is that the landscape is schedule-sensitive and rugged, so the search
 algorithms face the same kind of optimisation problem.
 
-Two implementations share the model:
-
-* :meth:`LatencySimulator.reference_breakdown` — the scalar reference, one
-  schedule at a time (kept as the baseline for benchmarks and equivalence
-  tests);
-* :meth:`LatencySimulator.batch_latency` / :meth:`batch_breakdown` — the
-  vectorised path: the batch is grouped by sketch, sketch-static quantities
-  are computed once per group (and memoised on the sketch), and every
-  efficiency factor is evaluated as one NumPy expression over the group.
-  Single-schedule calls (:meth:`latency`, :meth:`breakdown`) route through a
-  batch of one, so serial and batched measurement stay equivalent by
-  construction.  The two implementations agree to floating-point rounding
-  (the vectorised path uses NumPy transcendentals where the scalar path used
-  ``float.__pow__``; tests pin the agreement at ``rtol=1e-9``).
+The model has one implementation, :meth:`LatencySimulator.batch_latency` /
+:meth:`~LatencySimulator.batch_breakdown`: the batch is grouped by sketch,
+sketch-static quantities are computed once per group (and memoised on the
+sketch), and every efficiency factor is evaluated as one NumPy expression
+over the group.  Single-schedule calls (:meth:`~LatencySimulator.latency`,
+:meth:`~LatencySimulator.breakdown`) route through a batch of one, so serial
+and batched measurement stay equivalent by construction.  The scalar
+schedule-at-a-time reference it replaced lives in
+``benchmarks/perf/oracles.py``; the two agree to floating-point rounding
+(tests pin the agreement at ``rtol=1e-9``).
 """
 
 from __future__ import annotations
@@ -46,10 +42,8 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.caching import hot_path_enabled
 from repro.hardware.target import HardwareTarget
 from repro.tensor.dag import DTYPE_BYTES
-from repro.tensor.factors import product
 from repro.tensor.schedule import Schedule
 from repro.tensor.sketch import Sketch
 
@@ -152,8 +146,8 @@ class _SketchStatics:
 def _masked_pow(values: np.ndarray, mask: np.ndarray, exponent: float) -> np.ndarray:
     """``values ** exponent`` on the masked elements, bit-compatible with CPython.
 
-    The scalar reference path computes its cache/register/i-cache penalties
-    with ``float.__pow__`` (libm ``pow``), which differs from ``np.power`` in
+    The scalar reference (``benchmarks/perf/oracles.py``) computes its
+    cache/register/i-cache penalties with ``float.__pow__`` (libm ``pow``), which differs from ``np.power`` in
     the last ulp for a few percent of inputs.  Those ulps matter: measured
     latencies feed the cost model, and a single flipped tree split changes a
     whole search trajectory.  Penalties are rare enough (only schedules that
@@ -204,8 +198,6 @@ class LatencySimulator:
 
     def breakdown(self, schedule: Schedule) -> SimulationBreakdown:
         """Full per-component timing decomposition of one schedule."""
-        if not hot_path_enabled():
-            return self.reference_breakdown(schedule)
         return self.batch_breakdown([schedule])[0]
 
     # ------------------------------------------------------------------ #
@@ -220,11 +212,6 @@ class LatencySimulator:
         """
         if not schedules:
             return np.zeros(0, dtype=np.float64)
-        if not hot_path_enabled():
-            return np.array(
-                [self.reference_breakdown(s).latency for s in schedules],
-                dtype=np.float64,
-            )
         out = np.zeros(len(schedules), dtype=np.float64)
         for sketch, rows in self._groups(schedules):
             comp = self._batch_components(sketch, [schedules[i] for i in rows])
@@ -459,241 +446,6 @@ class LatencySimulator:
             "compute_at": compute_at_eff,
             "fusion": fusion,
         }
-
-    # ------------------------------------------------------------------ #
-    # scalar reference path
-    # ------------------------------------------------------------------ #
-    def reference_breakdown(self, schedule: Schedule) -> SimulationBreakdown:
-        """Scalar reference decomposition of one schedule.
-
-        This is the original schedule-at-a-time implementation, kept as the
-        baseline the perf harness times under :func:`~repro.caching.legacy_hot_path`
-        and as the oracle the serial-vs-vectorised equivalence tests compare
-        :meth:`batch_latency` against.
-        """
-        target = self.target
-        dag = schedule.dag
-        flops = max(dag.flops, 1.0)
-
-        spatial = schedule.spatial_tile_sizes()
-        reduction = schedule.reduction_tile_sizes()
-
-        factors: Dict[str, float] = {}
-
-        vector_eff = self._vectorization_efficiency(spatial)
-        factors["vector"] = vector_eff
-
-        register_eff = self._register_efficiency(schedule)
-        factors["register"] = register_eff
-
-        loop_eff = self._loop_overhead_efficiency(schedule)
-        factors["loop"] = loop_eff
-
-        cache_eff = self._cache_efficiency(schedule, spatial, reduction)
-        factors["cache"] = cache_eff
-
-        compute_at_eff = self._compute_at_efficiency(schedule)
-        factors["compute_at"] = compute_at_eff
-
-        fusion_eff = 1.05 if schedule.sketch.fuse_consumer else 1.0
-        factors["fusion"] = fusion_eff
-
-        efficiency = vector_eff * register_eff * loop_eff * cache_eff * compute_at_eff * fusion_eff
-        efficiency = float(np.clip(efficiency, 1e-4, 1.0))
-
-        speedup, par_overhead = self._parallel_speedup(schedule)
-        factors["speedup"] = speedup
-
-        compute_time = flops / (target.peak_flops_per_core * efficiency) / speedup
-
-        memory_time = self._memory_time(schedule, spatial, reduction)
-        epilogue_time = self._epilogue_time(schedule)
-
-        ruggedness = self._ruggedness(schedule)
-
-        overlapped = max(compute_time, memory_time) + 0.25 * min(compute_time, memory_time)
-        latency = (overlapped + par_overhead + target.kernel_overhead + epilogue_time) * ruggedness
-
-        return SimulationBreakdown(
-            latency=float(latency),
-            compute_time=float(compute_time),
-            memory_time=float(memory_time),
-            parallel_overhead=float(par_overhead),
-            epilogue_time=float(epilogue_time),
-            speedup=float(speedup),
-            efficiency=float(efficiency),
-            ruggedness=float(ruggedness),
-            factors=factors,
-        )
-
-    # ------------------------------------------------------------------ #
-    # individual effects (scalar reference)
-    # ------------------------------------------------------------------ #
-    def _vectorization_efficiency(self, spatial) -> float:
-        """SIMD utilisation of the innermost spatial tile (the vectorised axis)."""
-        if not spatial:
-            return 0.5
-        vw = self.target.vector_width
-        t_vec = spatial[-1][-1]
-        if t_vec >= vw:
-            return 1.0 if t_vec % vw == 0 else 0.85
-        return max(0.15, 0.25 + 0.75 * t_vec / vw)
-
-    def _register_efficiency(self, schedule: Schedule) -> float:
-        """Penalty for register tiles that exceed the register file."""
-        reg_vol = schedule.innermost_spatial_volume() * max(
-            schedule.innermost_reduction_volume(), 1
-        )
-        if reg_vol <= self.REGISTER_BUDGET:
-            return 1.0
-        return float(max(0.35, (self.REGISTER_BUDGET / reg_vol) ** 0.5))
-
-    def _loop_overhead_efficiency(self, schedule: Schedule) -> float:
-        """Loop control overhead, reduced by unrolling up to i-cache limits."""
-        body = max(
-            schedule.innermost_spatial_volume() * max(schedule.innermost_reduction_volume(), 1),
-            1,
-        )
-        unroll = schedule.unroll_depth
-        effective_body = body * max(1.0, math.log2(2 + unroll))
-        overhead_fraction = self.LOOP_OVERHEAD / effective_body
-        eff = 1.0 / (1.0 + overhead_fraction)
-        instr_footprint = body * max(unroll, 1)
-        if instr_footprint > self.ICACHE_BUDGET:
-            eff *= max(0.5, (self.ICACHE_BUDGET / instr_footprint) ** 0.25)
-        return float(eff)
-
-    def _cache_efficiency(self, schedule: Schedule, spatial, reduction) -> float:
-        """Locality of the L1 and L2 working sets of the tiled loop nest."""
-        target = self.target
-
-        def working_set(spatial_levels: int, reduction_levels: int) -> float:
-            prod_sp = 1.0
-            sum_sp = 0.0
-            for sizes in spatial:
-                inner = product(sizes[-spatial_levels:]) if sizes else 1
-                prod_sp *= inner
-                sum_sp += inner
-            prod_red = 1.0
-            for sizes in reduction:
-                prod_red *= product(sizes[-reduction_levels:]) if sizes else 1
-            # Output tile + one operand tile per spatial dimension streamed over
-            # the reduction tile (the GEMM A/B footprint generalised).
-            return DTYPE_BYTES * (prod_sp + prod_red * sum_sp)
-
-        ws_l1 = working_set(2, 1)
-        ws_l2 = working_set(3, 2)
-
-        eff_l1 = 1.0 if ws_l1 <= target.l1_bytes else max(0.45, (target.l1_bytes / ws_l1) ** 0.25)
-        eff_l2 = 1.0 if ws_l2 <= target.l2_bytes else max(0.6, (target.l2_bytes / ws_l2) ** 0.15)
-        return float(eff_l1 * eff_l2)
-
-    def _compute_at_efficiency(self, schedule: Schedule) -> float:
-        """Placement quality of the fused consumer / cache-write stage.
-
-        The ideal compute-at location sits in the middle of the spatial loop
-        nest (after the outer parallel tiles, before the register tiles);
-        positions further away lose producer-consumer reuse.  When the sketch
-        has neither fusion nor cache-write the knob only has a small residual
-        effect (loop-invariant hoisting of the inlined epilogue).
-        """
-        n_candidates = len(schedule.dag.compute_at_candidates())
-        if n_candidates <= 1:
-            return 1.0
-        relevant = schedule.sketch.fuse_consumer or schedule.sketch.cache_write
-        weight = 0.15 if relevant else 0.03
-        ideal = 1 + len(schedule.dag.main_stage.spatial_iters) // 2
-        ideal = min(ideal, n_candidates - 1)
-        distance = abs(schedule.compute_at_index - ideal) / max(n_candidates - 1, 1)
-        return float(1.0 - weight * distance)
-
-    def _parallel_speedup(self, schedule: Schedule) -> tuple:
-        """Parallel speedup and the associated task-spawn overhead."""
-        target = self.target
-        par_extent = schedule.parallel_extent()
-
-        if schedule.sketch.rfactor:
-            # Reduction factorisation exposes extra parallelism, most useful
-            # when the spatial iteration space alone cannot fill the machine.
-            total_reduction = 1
-            for it in schedule.dag.main_stage.reduction_iters:
-                total_reduction *= it.extent
-            rfactor_pieces = min(8, max(1, total_reduction // 128))
-            par_extent *= rfactor_pieces
-
-        if par_extent <= 1:
-            return 1.0, 0.0
-
-        cores = target.num_cores
-        # Load-balanced speedup: work is split into `par_extent` equal chunks
-        # scheduled round-robin over `cores` workers.
-        rounds = math.ceil(par_extent / cores)
-        speedup = par_extent / rounds
-        speedup = min(speedup, cores)
-
-        if target.kind == "gpu":
-            # GPUs need an excess of independent blocks to hide latency.
-            occupancy = min(1.0, par_extent / (cores * 8.0))
-            speedup *= max(0.15, occupancy)
-            speedup = max(speedup, 1.0)
-
-        overhead = target.parallel_overhead * (par_extent / max(speedup, 1.0))
-        return float(speedup), float(overhead)
-
-    def _memory_time(self, schedule: Schedule, spatial, reduction) -> float:
-        """DRAM traffic model: outer tile counts determine how often operands stream."""
-        dag = schedule.dag
-        target = self.target
-
-        outer_reduction = 1
-        for sizes in reduction:
-            outer_reduction *= sizes[0] if sizes else 1
-
-        outer_spatial_tiles = 1
-        for sizes in spatial:
-            outer_spatial_tiles *= sizes[0] if sizes else 1
-
-        if schedule.sketch.cache_write or not dag.has_data_reuse:
-            output_traffic = dag.output_bytes
-        else:
-            # Splitting the reduction at the outermost level re-reads and
-            # re-writes the partial output once per outer reduction tile.
-            output_traffic = dag.output_bytes * (2 * outer_reduction - 1)
-
-        # Each input operand streams roughly once per outer spatial tile of
-        # the dimensions it does not index; the square root is a generic
-        # surrogate for "half of the outer dimensions don't index me".
-        reread = max(1.0, math.sqrt(outer_spatial_tiles) / 2.0)
-        input_traffic = dag.input_bytes * reread
-
-        traffic = output_traffic + input_traffic
-        if schedule.sketch.fuse_consumer:
-            traffic *= 0.85  # the epilogue round-trip through DRAM disappears
-        if schedule.sketch.rfactor:
-            traffic += dag.output_bytes * 4  # partial-result combine pass
-
-        return float(traffic / target.dram_bandwidth)
-
-    def _epilogue_time(self, schedule: Schedule) -> float:
-        """Cost of element-wise stages that are neither inlined nor fused."""
-        dag = schedule.dag
-        sketch = schedule.sketch
-        if sketch.fuse_consumer:
-            return 0.0
-        pending_flops = 0.0
-        pending_bytes = 0.0
-        for stage in dag.elementwise_stages:
-            if stage.name in sketch.inlined_stages:
-                continue
-            if dag.main_stage_name not in stage.producers:
-                continue
-            pending_flops += stage.flops
-            pending_bytes += stage.output_elements * DTYPE_BYTES * 2
-        if pending_flops == 0.0:
-            return 0.0
-        compute = pending_flops / (self.target.peak_flops * 0.25)
-        memory = pending_bytes / self.target.dram_bandwidth
-        return float(max(compute, memory))
 
     def _ruggedness(self, schedule: Schedule) -> float:
         """Deterministic multiplicative noise keyed on the schedule identity."""

@@ -40,8 +40,11 @@ structural hit, the ``k`` nearest same-target neighbours and (on request)
 ranked cross-target transfer candidates in one :class:`LookupResult`.
 Nearest-neighbour scoring keeps a contiguous per-target NumPy matrix of the
 stored workload embeddings and ranks all candidates in one vectorised pass
-(the legacy per-entry loop remains behind
-:func:`~repro.caching.legacy_hot_path` for A/B measurement).
+(the per-entry reference loops live in ``benchmarks/perf/oracles.py``, where
+the equivalence tests and the perf harness compare against them).  Every
+stored embedding is empty or exactly ``EMBEDDING_SIZE`` long: entries are
+validated where they enter the index (shard scans, imports, sidecars,
+:meth:`~ScheduleRegistry.record`).
 :meth:`warm_start_schedules` packages lookup results into ready-to-measure
 :class:`~repro.tensor.schedule.Schedule` objects (tile sizes are re-fitted
 to the new extents when the relative's shape differs).
@@ -72,7 +75,7 @@ from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.caching import MemoCache, cached_sketches, hot_path_enabled
+from repro.caching import MemoCache, cached_sketches
 from repro.faults.plan import poll as poll_fault
 from repro.hardware.catalog import default_catalog, target_distance
 from repro.jsonl import append_line, repair_torn_tail
@@ -80,7 +83,7 @@ from repro.hardware.target import HardwareTarget
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span as obs_span
 from repro.serving.fingerprint import (
-    embedding_distance,
+    EMBEDDING_SIZE,
     structural_fingerprint,
     workload_embedding,
 )
@@ -123,6 +126,16 @@ _INDEX_LOAD = histogram(
 )
 _APPEND = histogram("registry.append_seconds", help="Single-entry shard append time")
 _COMPACT = histogram("registry.compact_seconds", help="Full registry compaction time")
+
+
+def _checked_embedding(embedding: Sequence[float]) -> Tuple[float, ...]:
+    """``embedding`` as a float tuple; raises unless empty or EMBEDDING_SIZE long."""
+    out = tuple(float(v) for v in embedding)
+    if len(out) not in (0, EMBEDDING_SIZE):
+        raise ValueError(
+            f"embedding has {len(out)} values, expected 0 or {EMBEDDING_SIZE}"
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -178,7 +191,7 @@ class RegistryEntry:
             trials=int(data.get("trials", 0)),
             scheduler=data.get("scheduler", ""),
             schedule=data.get("schedule"),
-            embedding=tuple(float(v) for v in data.get("embedding", ())),
+            embedding=_checked_embedding(data.get("embedding", ())),
             source=data.get("source", ""),
             donor_target=data.get("donor_target", ""),
         )
@@ -334,15 +347,34 @@ class _FileState:
         self.dirty = False
 
 
+def _smallest_rows(values: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` smallest ``values``, ordered by (value, index).
+
+    Matrix rows are sorted by fingerprint, so the index is the fingerprint
+    tie-break.  Every value tied with the ``count``-th smallest stays a
+    candidate until the final sort, so a tie straddling the cut keeps the
+    smallest fingerprints.
+    """
+    if count < values.size:
+        kth = np.partition(values, count - 1)[count - 1]
+        cand = np.nonzero(values <= kth)[0]
+    else:
+        cand = np.arange(values.size)
+    return cand[np.lexsort((cand, values[cand]))][:count]
+
+
+#: One ranked transfer donor: (score, fingerprint, target name, target
+#: distance, index key).
+_DonorScore = Tuple[float, str, str, float, Tuple[str, str]]
+
+
 class _TargetMatrix:
     """Contiguous embedding matrix of one target's index entries.
 
     Rows are sorted by fingerprint so a stable row order doubles as the
     distance tie-break; ``extras`` holds entries without embeddings (they
-    only ever match by exact fingerprint).  ``embeddings`` is ``None`` when
-    the stored embedding dimensions are inconsistent — queries then fall
-    back to the per-entry reference loop (which raises on the mismatch,
-    exactly like the pre-vectorised code).
+    only ever match by exact fingerprint).  Every row's embedding is
+    ``EMBEDDING_SIZE`` long (validated where entries enter the index).
     """
 
     __slots__ = (
@@ -363,19 +395,12 @@ class _TargetMatrix:
         self.extras = [ie for ie in pool if not ie.embedding]
         self.keys = [ie.key for ie in self.rows]
         self.fingerprints = [ie.fingerprint for ie in self.rows]
-        dims = {len(ie.embedding) for ie in self.rows}
-        if len(dims) == 1:
-            self.embeddings: Optional[np.ndarray] = np.array(
-                [ie.embedding for ie in self.rows], dtype=np.float64
-            )
-            self.sched_mask: Optional[np.ndarray] = np.fromiter(
-                (ie.has_schedule for ie in self.rows),
-                dtype=bool,
-                count=len(self.rows),
-            )
-        else:
-            self.embeddings = None
-            self.sched_mask = None
+        self.embeddings = np.array(
+            [ie.embedding for ie in self.rows], dtype=np.float64
+        ).reshape(len(self.rows), EMBEDDING_SIZE)
+        self.sched_mask = np.fromiter(
+            (ie.has_schedule for ie in self.rows), dtype=bool, count=len(self.rows)
+        )
         self.row_of = {fp: i for i, fp in enumerate(self.fingerprints)}
 
 
@@ -444,7 +469,6 @@ class ScheduleRegistry:
             "registry.shard_handles",
             maxsize=max(int(max_open_shards), 1),
             on_evict=lambda fh: fh.close(),
-            legacy_bypass=False,
         )
         if self.root is not None and self.root.exists():
             self.removed_orphans = self._remove_orphan_tmps()
@@ -644,7 +668,7 @@ class ScheduleRegistry:
                     target=sys.intern(str(item[1])),
                     latency=float(item[2]),
                     has_schedule=bool(item[5]),
-                    embedding=tuple(float(v) for v in item[6]),
+                    embedding=_checked_embedding(item[6]),
                     path=path,
                     offset=int(item[3]),
                     length=int(item[4]),
@@ -845,6 +869,7 @@ class ScheduleRegistry:
         """
         if not entry.fingerprint:
             raise ValueError("registry entries need a non-empty fingerprint")
+        _checked_embedding(entry.embedding)
         # Append + absorb must commit together: a second writer slipping in
         # between them could append a worse entry over the unabsorbed best,
         # or absorb an entry the shard never saw.  The key's shard is
@@ -1001,53 +1026,15 @@ class ScheduleRegistry:
         exclude_exact: bool,
     ) -> List[Tuple[float, RegistryEntry]]:
         matrix = self._matrix_locked(target_name)
-        if (
-            hot_path_enabled()
-            and matrix.embeddings is not None
-            and (len(matrix.rows) == 0 or matrix.embeddings.shape[1] == len(query))
-        ):
-            return self._nearest_vector_locked(
-                matrix, fingerprint, query, k, exclude_exact
-            )
-        # Reference path: per-entry loop, kept for legacy_hot_path() A/B
-        # runs and for stores whose embedding dimensions are inconsistent
-        # (embedding_distance raises on the mismatch, as it always did).
-        scored: List[Tuple[float, _IndexEntry]] = []
-        for ie in matrix.rows:
-            if exclude_exact and ie.fingerprint == fingerprint:
-                continue
-            scored.append((embedding_distance(query, ie.embedding), ie))
-        scored.sort(key=lambda pair: (pair[0], pair[1].fingerprint))
-        return [
-            (dist, self._materialise_locked(ie.key)) for dist, ie in scored[: max(k, 0)]
-        ]
-
-    def _nearest_vector_locked(
-        self,
-        matrix: _TargetMatrix,
-        fingerprint: str,
-        query: np.ndarray,
-        k: int,
-        exclude_exact: bool,
-    ) -> List[Tuple[float, RegistryEntry]]:
         n = len(matrix.rows)
         if n == 0:
             return []
-        emb = matrix.embeddings
-        assert emb is not None
-        diff = emb - np.asarray(query, dtype=np.float64)
+        diff = matrix.embeddings - np.asarray(query, dtype=np.float64)
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         exact_row = matrix.row_of.get(fingerprint) if exclude_exact else None
         over = min(k + (1 if exact_row is not None else 0), n)
-        if over < n:
-            cand = np.argpartition(dist, over - 1)[:over]
-        else:
-            cand = np.arange(n)
-        # primary: distance; tie-break: row order == fingerprint order,
-        # reproducing the reference sort key (distance, fingerprint).
-        order = np.lexsort((cand, dist[cand]))
         out: List[Tuple[float, RegistryEntry]] = []
-        for row in cand[order]:
+        for row in _smallest_rows(dist, over):
             if exact_row is not None and row == exact_row:
                 continue
             entry = self._materialise_locked(matrix.keys[row])
@@ -1097,8 +1084,8 @@ class ScheduleRegistry:
     ) -> List[Tuple[float, RegistryEntry]]:
         q = np.asarray(query, dtype=np.float64)
         # (score, fingerprint, target, t_dist, key) — sorted on the first
-        # three, exactly the pre-vectorised tie-break.
-        scored: List[Tuple[float, str, str, float, Tuple[str, str]]] = []
+        # three: score, then the fingerprint and target-name tie-breaks.
+        scored: List[_DonorScore] = []
         for target_name in sorted(self._targets):
             if target_name == target.name:
                 continue
@@ -1106,58 +1093,11 @@ class ScheduleRegistry:
             t_dist = target_distance(target, donor) if donor is not None else -1.0
             if t_dist < 0:
                 continue
-            matrix = self._matrix_locked(target_name)
-            if (
-                hot_path_enabled()
-                and matrix.embeddings is not None
-                and (len(matrix.rows) == 0 or matrix.embeddings.shape[1] == q.shape[0])
-            ):
-                n = len(matrix.rows)
-                if n:
-                    assert matrix.sched_mask is not None
-                    diff = matrix.embeddings - q
-                    score = np.sqrt(np.einsum("ij,ij->i", diff, diff)) + t_dist
-                    row = matrix.row_of.get(fingerprint)
-                    if row is not None:
-                        score[row] = t_dist  # exact workload: w_dist == 0
-                    cand = np.nonzero(matrix.sched_mask)[0]
-                    if cand.size:
-                        take = min(k, int(cand.size))
-                        sub = score[cand]
-                        if take < cand.size:
-                            pick = np.argpartition(sub, take - 1)[:take]
-                        else:
-                            pick = np.arange(cand.size)
-                        order = np.lexsort((cand[pick], sub[pick]))
-                        for r in cand[pick][order]:
-                            scored.append(
-                                (
-                                    float(score[r]),
-                                    matrix.fingerprints[r],
-                                    target_name,
-                                    t_dist,
-                                    matrix.keys[r],
-                                )
-                            )
-                for ie in matrix.extras:
-                    # no embedding: only the exact workload can transfer
-                    if ie.has_schedule and ie.fingerprint == fingerprint:
-                        scored.append(
-                            (t_dist, ie.fingerprint, target_name, t_dist, ie.key)
-                        )
-            else:
-                for ie in matrix.rows + matrix.extras:
-                    if not ie.has_schedule:
-                        continue
-                    if ie.fingerprint == fingerprint:
-                        w_dist = 0.0
-                    elif ie.embedding:
-                        w_dist = embedding_distance(query, ie.embedding)
-                    else:
-                        continue
-                    scored.append(
-                        (w_dist + t_dist, ie.fingerprint, target_name, t_dist, ie.key)
-                    )
+            scored.extend(
+                self._donor_scores_locked(
+                    self._matrix_locked(target_name), target_name, fingerprint, q, t_dist, k
+                )
+            )
         scored.sort(key=lambda item: (item[0], item[1], item[2]))
         out: List[Tuple[float, RegistryEntry]] = []
         for _score, _fp, _tname, t_dist, key in scored[: max(k, 0)]:
@@ -1165,6 +1105,38 @@ class ScheduleRegistry:
             if entry is not None:
                 out.append((t_dist, entry))
         return out
+
+    def _donor_scores_locked(
+        self,
+        matrix: _TargetMatrix,
+        target_name: str,
+        fingerprint: str,
+        query: np.ndarray,
+        t_dist: float,
+        k: int,
+    ) -> List[_DonorScore]:
+        """The ``k`` best-scored scheduled donors of one target, in one pass.
+
+        A donor scores its embedding distance to ``query`` (0 for the exact
+        fingerprint) plus ``t_dist``; entries without an embedding only
+        transfer on an exact fingerprint match.
+        """
+        scored: List[_DonorScore] = []
+        cand = np.nonzero(matrix.sched_mask)[0]
+        if cand.size:
+            diff = matrix.embeddings - query
+            score = np.sqrt(np.einsum("ij,ij->i", diff, diff)) + t_dist
+            row = matrix.row_of.get(fingerprint)
+            if row is not None:
+                score[row] = t_dist  # exact workload: w_dist == 0
+            for r in cand[_smallest_rows(score[cand], k)]:
+                scored.append(
+                    (float(score[r]), matrix.fingerprints[r], target_name, t_dist, matrix.keys[r])
+                )
+        for ie in matrix.extras:
+            if ie.has_schedule and ie.fingerprint == fingerprint:
+                scored.append((t_dist, ie.fingerprint, target_name, t_dist, ie.key))
+        return scored
 
     def _matrix_locked(self, target_name: str) -> _TargetMatrix:
         matrix = self._matrices.get(target_name)

@@ -40,7 +40,7 @@ from repro.faults.plan import InjectedCrash, poll as poll_fault
 from repro.hardware.target import HardwareTarget, cpu_target
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span as obs_span, trace_event
-from repro.serving.fingerprint import structural_fingerprint
+from repro.serving.fingerprint import EMBEDDING_SIZE, structural_fingerprint
 from repro.serving.registry import ScheduleRegistry
 from repro.tensor.dag import ComputeDAG
 
@@ -513,6 +513,7 @@ class TuningService:
                     best[fingerprint] = (rec.latency, rec)
             accepted = 0
             for fingerprint, (latency, rec) in best.items():
+                embedding = tuple(getattr(rec, "embedding", ()) or ())
                 entry = RegistryEntry(
                     fingerprint=fingerprint,
                     target=self.target.name,
@@ -525,8 +526,9 @@ class TuningService:
                     # Recovered entries keep the embedding the measurement
                     # persisted, so they stay visible to nearest() and
                     # cross-target transfer after a crash (legacy logs
-                    # without embeddings recover with an empty one).
-                    embedding=tuple(getattr(rec, "embedding", ()) or ()),
+                    # without embeddings, and malformed ones the registry
+                    # would reject, recover with an empty one).
+                    embedding=embedding if len(embedding) == EMBEDDING_SIZE else (),
                     source=source,
                 )
                 if self.registry.record(entry):

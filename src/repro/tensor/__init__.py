@@ -27,7 +27,7 @@ from repro.tensor.actions import (
     apply_action,
 )
 from repro.tensor.sampler import sample_initial_schedules
-from repro.tensor.features import FEATURE_SIZE, schedule_features
+from repro.tensor.features import FEATURE_SIZE, batch_features
 from repro.tensor.lowering import loop_structure, lower_schedule
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "ModificationAction",
     "FEATURE_SIZE",
     "apply_action",
+    "batch_features",
     "batch_gemm",
     "conv1d",
     "conv2d",
@@ -52,6 +53,5 @@ __all__ = [
     "loop_structure",
     "lower_schedule",
     "sample_initial_schedules",
-    "schedule_features",
     "softmax",
 ]

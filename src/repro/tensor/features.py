@@ -6,19 +6,13 @@ level, loop extents, parallelisation / unrolling / compute-at knobs and
 aggregate workload statistics.  The layout is padded to fixed maxima so every
 operator class produces vectors of the same size (:data:`FEATURE_SIZE`).
 
-Two implementations share the layout:
-
-* :func:`schedule_features` — the scalar reference implementation for a
-  single schedule,
-* :func:`batch_features` — a vectorised implementation that groups the batch
-  by sketch, computes the sketch/workload-static feature blocks once per
-  group and fills the per-schedule blocks with NumPy scatter operations.
-
-The vectorised path produces bit-identical vectors (it applies the same
-float64 operations in the same order per element) while avoiding the
-per-schedule Python function call and array allocation, which makes large
-cost-model batches several times faster than looping over
-:func:`schedule_features`.
+:func:`batch_features` is the one implementation: it groups the batch by
+sketch, computes the sketch/workload-static feature blocks once per group and
+fills the per-schedule blocks with NumPy scatter operations.  Its rows are
+bit-identical to the scalar one-schedule-at-a-time reference kept in
+``benchmarks/perf/oracles.py`` (the same float64 operations in the same order
+per element), which the equivalence tests and the perf harness compare
+against.
 """
 
 from __future__ import annotations
@@ -27,11 +21,10 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.caching import hot_path_enabled
 from repro.tensor.schedule import Schedule
 from repro.tensor.sketch import Sketch
 
-__all__ = ["FEATURE_SIZE", "schedule_features", "batch_features"]
+__all__ = ["FEATURE_SIZE", "batch_features"]
 
 #: Padding maxima: conv3d has 5 spatial iterators (n, co, od, oh, ow) and
 #: 4 reduction iterators (ci, kd, kh, kw); GPU sketches use up to 5 spatial
@@ -51,70 +44,6 @@ FEATURE_SIZE = _TILE_BLOCK + _EXTENT_BLOCK + _SCALAR_BLOCK
 
 def _log2(value: float) -> float:
     return float(np.log2(max(float(value), 1.0)))
-
-
-def schedule_features(schedule: Schedule) -> np.ndarray:
-    """Compute the feature vector of one schedule.
-
-    Layout (all tile sizes and extents are ``log2``-scaled):
-
-    1. spatial tile sizes — ``MAX_SPATIAL_ITERS x MAX_SPATIAL_LEVELS`` slots,
-    2. reduction tile sizes — ``MAX_REDUCTION_ITERS x MAX_REDUCTION_LEVELS`` slots,
-    3. spatial / reduction iterator extents,
-    4. scalar knobs and workload statistics (parallel extent, unroll depth,
-       compute-at position, register-tile volume, FLOPs, arithmetic intensity,
-       sketch flags, ...).
-    """
-    out = np.zeros(FEATURE_SIZE, dtype=np.float64)
-    dag = schedule.dag
-
-    # --- tile sizes -------------------------------------------------- #
-    offset = 0
-    spatial = schedule.spatial_tile_sizes()
-    for i in range(MAX_SPATIAL_ITERS):
-        for j in range(MAX_SPATIAL_LEVELS):
-            if i < len(spatial) and j < len(spatial[i]):
-                out[offset] = _log2(spatial[i][j])
-            offset += 1
-    reduction = schedule.reduction_tile_sizes()
-    for i in range(MAX_REDUCTION_ITERS):
-        for j in range(MAX_REDUCTION_LEVELS):
-            if i < len(reduction) and j < len(reduction[i]):
-                out[offset] = _log2(reduction[i][j])
-            offset += 1
-
-    # --- iterator extents -------------------------------------------- #
-    spatial_iters = dag.main_stage.spatial_iters
-    for i in range(MAX_SPATIAL_ITERS):
-        if i < len(spatial_iters):
-            out[offset] = _log2(spatial_iters[i].extent)
-        offset += 1
-    reduction_iters = dag.main_stage.reduction_iters
-    for i in range(MAX_REDUCTION_ITERS):
-        if i < len(reduction_iters):
-            out[offset] = _log2(reduction_iters[i].extent)
-        offset += 1
-
-    # --- scalar knobs and workload statistics ------------------------ #
-    n_candidates = len(dag.compute_at_candidates())
-    scalars = [
-        float(schedule.num_parallel),
-        float(schedule.num_parallel) / max(schedule.max_parallel, 1),
-        _log2(schedule.parallel_extent()),
-        _log2(schedule.unroll_depth + 1),
-        float(schedule.compute_at_index) / max(n_candidates - 1, 1),
-        _log2(schedule.innermost_spatial_volume()),
-        _log2(schedule.innermost_reduction_volume()),
-        _log2(spatial[-1][-1] if spatial else 1),  # vectorisable innermost tile
-        _log2(dag.flops),
-        _log2(dag.arithmetic_intensity() + 1.0),
-        1.0 if schedule.sketch.fuse_consumer else 0.0,
-        1.0 if schedule.sketch.cache_write else 0.0,
-        1.0 if schedule.sketch.rfactor else 0.0,
-    ]
-    assert len(scalars) == _SCALAR_BLOCK
-    out[offset : offset + _SCALAR_BLOCK] = scalars
-    return out
 
 
 class _SketchLayout:
@@ -268,17 +197,21 @@ def _fill_group(
 def batch_features(schedules: Sequence[Schedule]) -> np.ndarray:
     """Stack feature vectors for a batch of schedules (``(N, FEATURE_SIZE)``).
 
+    Row layout (all tile sizes and extents are ``log2``-scaled):
+
+    1. spatial tile sizes — ``MAX_SPATIAL_ITERS x MAX_SPATIAL_LEVELS`` slots,
+    2. reduction tile sizes — ``MAX_REDUCTION_ITERS x MAX_REDUCTION_LEVELS`` slots,
+    3. spatial / reduction iterator extents,
+    4. scalar knobs and workload statistics (parallel extent, unroll depth,
+       compute-at position, register-tile volume, FLOPs, arithmetic intensity,
+       sketch flags, ...).
+
     The batch is grouped by sketch so sketch- and workload-static feature
     blocks are computed once per group; tile sizes and scalar knobs are filled
-    with vectorised scatter operations.  Rows are bit-identical to calling
-    :func:`schedule_features` on each schedule individually.
+    with vectorised scatter operations.
     """
     if not schedules:
         return np.zeros((0, FEATURE_SIZE), dtype=np.float64)
-    if not hot_path_enabled():
-        # Baseline reference path for benchmarks and equivalence tests: the
-        # per-schedule scalar implementation, stacked.
-        return np.stack([schedule_features(s) for s in schedules], axis=0)
     out = np.zeros((len(schedules), FEATURE_SIZE), dtype=np.float64)
     groups: Dict[int, Tuple[Sketch, List[int]]] = {}
     for idx, schedule in enumerate(schedules):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from benchmarks.perf.oracles import best_split_reference
 from repro.costmodel.tree import RegressionTree
 
 
@@ -81,3 +82,34 @@ class TestValidation:
             RegressionTree(max_depth=0)
         with pytest.raises(ValueError):
             RegressionTree(min_samples_leaf=0)
+
+
+class TestSplitSearchMatchesReference:
+    """The one-pass split search agrees with the per-feature oracle exactly."""
+
+    @pytest.mark.parametrize("min_samples_leaf", [1, 2, 5, 31])
+    @pytest.mark.parametrize("max_features", [None, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_identical_split(self, seed, max_features, min_samples_leaf):
+        rng = np.random.default_rng(seed)
+        # few distinct values per column: repeated values exercise the
+        # degenerate-threshold mask; a duplicated column ties gains across
+        # features, so first-maximum tie-breaking decides
+        X = rng.integers(0, 6, size=(60, 7)).astype(np.float64)
+        X[:, 4] = X[:, 1]
+        y = rng.integers(0, 4, size=60).astype(np.float64)
+
+        def tree():
+            return RegressionTree(
+                min_samples_leaf=min_samples_leaf,
+                max_features=max_features,
+                rng=np.random.default_rng(seed),
+            )
+
+        assert tree()._best_split(X, y) == best_split_reference(tree(), X, y)
+
+    def test_no_valid_split(self):
+        X = np.zeros((10, 3))
+        y = np.arange(10.0)
+        tree = RegressionTree(min_samples_leaf=1)
+        assert tree._best_split(X, y) == best_split_reference(tree, X, y) == (-1, 0.0, 0.0)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultPlan, FaultSpec, InjectedCrash, inject
+from repro.serving.fingerprint import EMBEDDING_SIZE
 from repro.serving.registry import RegistryEntry, ScheduleRegistry
 
 #: One spec per distinct place a single fault can strike the registry's
@@ -39,7 +40,7 @@ def _entries(seed):
                 trials=4,
                 scheduler="harl",
                 schedule={"stub": i},
-                embedding=(float(i), 1.0),
+                embedding=(float(i), 1.0) + (0.0,) * (EMBEDDING_SIZE - 2),
                 source="property",
             )
         )

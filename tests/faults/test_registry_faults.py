@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, InjectedCrash, inject
+from repro.serving.fingerprint import EMBEDDING_SIZE
 from repro.serving.registry import RegistryEntry, ScheduleRegistry
 
 
@@ -25,7 +26,7 @@ def _entry(idx, latency, target="sim-cpu"):
         trials=8,
         scheduler="harl",
         schedule={"stub": idx},
-        embedding=(float(idx), 1.0),
+        embedding=(float(idx), 1.0) + (0.0,) * (EMBEDDING_SIZE - 2),
         source="test",
     )
 

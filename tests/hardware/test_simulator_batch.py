@@ -2,16 +2,16 @@
 
 The contract under test: :meth:`LatencySimulator.batch_latency` /
 :meth:`batch_breakdown` produce the same numbers as the schedule-at-a-time
-:meth:`reference_breakdown` (exact within floating-point tolerance), for
-every target of the hardware catalog, and the batched measurement pipeline
-built on top inherits that equivalence.
+scalar oracle ``reference_breakdown`` (exact within floating-point
+tolerance), for every target of the hardware catalog, and the batched
+measurement pipeline built on top inherits that equivalence.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.caching import legacy_hot_path
+from benchmarks.perf.oracles import reference_breakdown, reference_hot_path
 from repro.hardware.catalog import default_catalog
 from repro.hardware.measurer import Measurer
 from repro.hardware.simulator import LatencySimulator
@@ -55,7 +55,7 @@ class TestBatchLatencyEquivalence:
         schedules = _mixed_batch(target, seed)
         batch = simulator.batch_latency(schedules)
         reference = np.array(
-            [simulator.reference_breakdown(s).latency for s in schedules]
+            [reference_breakdown(simulator, s).latency for s in schedules]
         )
         assert np.allclose(batch, reference, rtol=RTOL, atol=0.0)
 
@@ -63,7 +63,7 @@ class TestBatchLatencyEquivalence:
         simulator = LatencySimulator(cpu)
         for schedule in _mixed_batch(cpu, 7, per_sketch=2)[:8]:
             assert simulator.latency(schedule) == pytest.approx(
-                simulator.reference_breakdown(schedule).latency, rel=RTOL
+                reference_breakdown(simulator, schedule).latency, rel=RTOL
             )
 
     def test_empty_batch(self, cpu):
@@ -79,16 +79,6 @@ class TestBatchLatencyEquivalence:
         )
         assert np.array_equal(whole, split)
 
-    def test_legacy_mode_uses_reference(self, cpu):
-        simulator = LatencySimulator(cpu)
-        schedules = _mixed_batch(cpu, 3, per_sketch=2)
-        with legacy_hot_path():
-            legacy = simulator.batch_latency(schedules)
-        reference = np.array(
-            [simulator.reference_breakdown(s).latency for s in schedules]
-        )
-        assert np.array_equal(legacy, reference)
-
 
 class TestBatchBreakdownEquivalence:
     @pytest.mark.parametrize(
@@ -100,7 +90,7 @@ class TestBatchBreakdownEquivalence:
         schedules = _mixed_batch(target, 5, per_sketch=3)
         batched = simulator.batch_breakdown(schedules)
         for schedule, got in zip(schedules, batched):
-            want = simulator.reference_breakdown(schedule)
+            want = reference_breakdown(simulator, schedule)
             assert got.latency == pytest.approx(want.latency, rel=RTOL)
             assert got.compute_time == pytest.approx(want.compute_time, rel=RTOL)
             assert got.memory_time == pytest.approx(want.memory_time, rel=RTOL)
@@ -122,7 +112,7 @@ class TestMeasurerEquivalence:
         """The vectorised measurement pipeline reproduces the serial loop."""
         schedules = _mixed_batch(cpu, 13, per_sketch=3)
         fast = Measurer(cpu, seed=5).measure(schedules)
-        with legacy_hot_path():
+        with reference_hot_path():
             legacy = Measurer(cpu, seed=5).measure(schedules)
         assert np.allclose(
             [r.latency for r in fast], [r.latency for r in legacy], rtol=RTOL

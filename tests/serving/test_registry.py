@@ -3,11 +3,16 @@
 import json
 import random
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.core.scheduler import HARLScheduler
-from repro.serving.fingerprint import structural_fingerprint, workload_embedding
+from repro.serving.fingerprint import (
+    EMBEDDING_SIZE,
+    structural_fingerprint,
+    workload_embedding,
+)
 from repro.serving.registry import RegistryEntry, ScheduleRegistry, _fit_tile_sizes
 from repro.tensor.factors import product
 from repro.tensor.workloads import gemm
@@ -143,7 +148,7 @@ class TestConcurrentWriters:
             trials=4,
             scheduler="harl",
             schedule={"tile": key},
-            embedding=(float(key), 1.0),
+            embedding=(float(key), 1.0) + (0.0,) * (EMBEDDING_SIZE - 2),
             source="stress",
         )
 
@@ -289,3 +294,68 @@ class TestTileFitting:
         # Reference concentrates size on the innermost slot; the fit should too.
         fitted = _fit_tile_sizes(64, 3, [1, 1, 64])
         assert fitted == [1, 1, 64]
+
+
+class TestEmbeddingValidation:
+    """An embedding is empty or exactly ``EMBEDDING_SIZE`` long, at every door.
+
+    One short embedding used to enter the index and break every similarity
+    lookup on its target (``embedding shapes differ``), which failed every
+    warm-started tune there.
+    """
+
+    @staticmethod
+    def _bad(dag, target):
+        return replace(_entry(dag, target, 1e-3), fingerprint="bad", embedding=(1.0, 2.0, 3.0))
+
+    def test_import_skips_short_embedding_and_lookups_keep_working(self, cpu, tmp_path):
+        good, query = gemm(128, 128, 128), gemm(96, 96, 96)
+        export = tmp_path / "export.jsonl"
+        lines = [
+            _entry(good, cpu, 1e-3, schedule={"stub": 1}).to_dict(),
+            self._bad(good, cpu).to_dict(),
+        ]
+        export.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        registry = ScheduleRegistry()
+        assert registry.import_file(export) == 1
+        assert registry.skipped_lines == 1
+        assert [e.workload for _d, e in registry.lookup(query, cpu, k=4).neighbors] == [
+            good.name
+        ]
+        assert registry.lookup(query, cpu, k=4, cross_target=True).source == "neighbor"
+        registry.warm_start_transfers(query, cpu)
+        with pytest.raises(ValueError, match="corrupted registry entry"):
+            ScheduleRegistry(strict=True).import_file(export)
+
+    def test_record_rejects_short_embedding(self, cpu):
+        registry = ScheduleRegistry()
+        with pytest.raises(ValueError, match="embedding"):
+            registry.record(self._bad(gemm(64, 64, 64), cpu))
+        assert len(registry) == 0
+        assert registry.record(replace(self._bad(gemm(64, 64, 64), cpu), embedding=()))
+
+    def test_shard_scan_skips_short_embedding(self, cpu, registry_root):
+        dag = gemm(128, 128, 128)
+        registry_root.mkdir(parents=True)
+        (registry_root / "shard-00.jsonl").write_text(
+            json.dumps(_entry(dag, cpu, 1e-3).to_dict())
+            + "\n"
+            + json.dumps(self._bad(dag, cpu).to_dict())
+            + "\n"
+        )
+        registry = ScheduleRegistry(registry_root, num_shards=1)
+        assert len(registry) == 1 and registry.skipped_lines == 1
+        assert registry.lookup(gemm(96, 96, 96), cpu, k=4).neighbors
+
+    def test_sidecar_with_short_embedding_is_rescanned(self, cpu, registry_root):
+        dag = gemm(128, 128, 128)
+        with ScheduleRegistry(registry_root, num_shards=1) as registry:
+            registry.record(_entry(dag, cpu, 1e-3))
+            registry.compact()
+        sidecar = registry_root / "shard-00.idx.json"
+        payload = json.loads(sidecar.read_text())
+        payload["entries"][0][6] = [1.0, 2.0, 3.0]
+        sidecar.write_text(json.dumps(payload))
+        reopened = ScheduleRegistry(registry_root, num_shards=1)
+        [(_distance, entry)] = reopened.lookup(gemm(96, 96, 96), cpu, k=4).neighbors
+        assert entry.embedding == tuple(workload_embedding(dag).tolist())

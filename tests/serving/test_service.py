@@ -547,3 +547,22 @@ class TestRecoveryKeepsTargets:
         assert revived.recover_from_records() == 1
         entry = revived.registry.lookup(gemm(64, 64, 64), xeon, k=0).entry
         assert entry is not None and entry.target == "xeon-6226r"
+
+    def test_malformed_embeddings_recover_without_one(self, tiny_config, tmp_path):
+        import json
+
+        from repro.hardware.catalog import default_catalog
+
+        xeon = default_catalog().get("xeon-6226r")
+        log = tmp_path / "short.jsonl"
+        self._tune_on(xeon, tiny_config, log)
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        for line in lines:
+            if "embedding" in line:
+                line["embedding"] = [1.0, 2.0, 3.0]
+        log.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+        revived = self._revive(xeon, tiny_config, log)
+        assert revived.recover_from_records() == 1
+        entry = revived.registry.lookup(gemm(64, 64, 64), xeon, k=0).entry
+        assert entry is not None and entry.embedding == ()

@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from benchmarks.perf.oracles import reference_hot_path, schedule_features
 from repro.tensor.actions import ActionSpace, ModificationAction, apply_action
-from repro.tensor.features import FEATURE_SIZE, batch_features, schedule_features
+from repro.tensor.features import FEATURE_SIZE, batch_features
 from repro.tensor.sampler import sample_initial_schedules, sample_schedule
 from repro.tensor.sketch import generate_sketches
 from repro.tensor.workloads import conv3d, gemm, softmax
@@ -88,10 +89,10 @@ class TestLayoutCacheAndLegacyPath:
         clear_caches()
 
     def test_legacy_path_is_bit_identical(self, gemm_sketch, rng):
-        from repro.caching import legacy_hot_path
+        import repro.costmodel.model as cost_model
 
         schedules = sample_initial_schedules(gemm_sketch, 6, rng)
         fast = batch_features(schedules)
-        with legacy_hot_path():
-            legacy = batch_features(schedules)
+        with reference_hot_path():
+            legacy = cost_model.batch_features(schedules)
         assert np.array_equal(fast, legacy)

@@ -2,8 +2,7 @@
 
 The contract under test: a cache hit returns the *identical* stored object,
 keys embed everything that must invalidate (workload identity, target tiling
-depths, schedule signature), counters account every lookup, and the
-``legacy_hot_path`` switch bypasses memoisation entirely.
+depths, schedule signature), and counters account every lookup.
 """
 
 import numpy as np
@@ -17,8 +16,6 @@ from repro.caching import (
     cached_sketches_for_target,
     clear_caches,
     fingerprint_stats,
-    hot_path_enabled,
-    legacy_hot_path,
     lowering_cache,
     reset_cache_stats,
     sketch_cache,
@@ -62,16 +59,6 @@ class TestMemoCache:
         assert cache.invalidate("k") is False
         assert cache.get_or_create("k", object) is not value
 
-    def test_legacy_mode_bypasses(self):
-        cache = MemoCache("test")
-        with legacy_hot_path():
-            assert not hot_path_enabled()
-            first = cache.get_or_create("k", object)
-            second = cache.get_or_create("k", object)
-        assert hot_path_enabled()
-        assert first is not second
-        assert len(cache) == 0 and cache.stats.total == 0
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             MemoCache("test", maxsize=0)
@@ -86,19 +73,6 @@ class TestMemoCache:
         assert disposed == ["value-a", "value-b"]
         cache.clear()
         assert disposed == ["value-a", "value-b", "value-c"]
-
-    def test_resource_cache_is_not_bypassed_by_legacy_mode(self):
-        # legacy_bypass=False caches hold *resources* (open shard handles):
-        # bypassing them under legacy_hot_path would leak one per lookup.
-        disposed = []
-        cache = MemoCache(
-            "handles", maxsize=4, on_evict=disposed.append, legacy_bypass=False
-        )
-        with legacy_hot_path():
-            first = cache.get_or_create("k", object)
-            second = cache.get_or_create("k", object)
-        assert second is first
-        assert len(cache) == 1 and disposed == []
 
 
 class TestCachedSketches:

@@ -4,12 +4,13 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from benchmarks.perf.oracles import schedule_features
 from repro.core.adaptive_stopping import AdaptiveStopper
 from repro.core.bandit import SlidingWindowUCB
 from repro.costmodel.tree import RegressionTree
 from repro.tensor.actions import ActionSpace, apply_action
 from repro.tensor.factors import move_factor, prime_factors, product, random_factorization
-from repro.tensor.features import FEATURE_SIZE, schedule_features
+from repro.tensor.features import FEATURE_SIZE
 from repro.tensor.sampler import sample_schedule
 from repro.tensor.sketch import generate_sketches
 from repro.tensor.workloads import gemm
