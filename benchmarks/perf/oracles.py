@@ -11,6 +11,8 @@ baselines (``benchmarks/perf/``) import:
   (vs. :meth:`repro.hardware.simulator.LatencySimulator.batch_breakdown`);
 * :func:`best_split_reference` — per-feature split search
   (vs. ``RegressionTree._best_split``);
+* :func:`forest_predict_reference` — the boosted forest scored one tree at
+  a time (vs. the one-pass ``GradientBoostedTrees.predict``);
 * :func:`run_batch_reference` — the per-schedule measure loop
   (vs. ``Measurer._run_batch``);
 * :func:`nearest_reference` / :func:`donor_scores_reference` — the registry's
@@ -39,6 +41,7 @@ import numpy as np
 import repro.core.parameter_search as _parameter_search
 import repro.costmodel.model as _cost_model
 from repro.caching import lowering_cache, sketch_cache
+from repro.costmodel.gbt import GradientBoostedTrees
 from repro.costmodel.tree import RegressionTree
 from repro.hardware.measurer import Measurer, simulate_measurement_batch
 from repro.hardware.simulator import LatencySimulator, SimulationBreakdown
@@ -61,6 +64,7 @@ __all__ = [
     "batch_latency_reference",
     "best_split_reference",
     "donor_scores_reference",
+    "forest_predict_reference",
     "nearest_reference",
     "reference_breakdown",
     "reference_hot_path",
@@ -391,7 +395,7 @@ def _epilogue_time(simulator: LatencySimulator, schedule: Schedule) -> float:
 
 
 # --------------------------------------------------------------------- #
-# cost-model split search
+# cost model: split search and forest prediction
 # --------------------------------------------------------------------- #
 def best_split_reference(tree: RegressionTree, X: np.ndarray, y: np.ndarray):
     """Per-feature split search: one sort and prefix sum per candidate feature."""
@@ -441,6 +445,19 @@ def best_split_reference(tree: RegressionTree, X: np.ndarray, y: np.ndarray):
             best_threshold = float((v_sorted[idx] + v_sorted[idx + 1]) / 2.0)
 
     return best_feature, best_threshold, best_gain
+
+
+def forest_predict_reference(model: GradientBoostedTrees, X: np.ndarray) -> np.ndarray:
+    """``GradientBoostedTrees.predict`` as a loop of per-tree ``predict`` calls."""
+    if not model._fitted:
+        raise RuntimeError("model is not fitted")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-dimensional")
+    out = np.full(X.shape[0], model._base_prediction, dtype=np.float64)
+    for tree in model._trees:
+        out += model.learning_rate * tree.predict(X)
+    return out
 
 
 # --------------------------------------------------------------------- #
@@ -526,8 +543,8 @@ def reference_hot_path() -> Iterator[None]:
     """Run the tuning pipeline on the oracles above, for baselines and A/B tests.
 
     Inside the block feature extraction (in both of its importers), the
-    simulator, the measure loop, the tree's split search and the registry's
-    ranking run their scalar references, and the shared sketch and lowering
+    simulator, the measure loop, the tree's split search, the forest's
+    prediction and the registry's ranking run their scalar references, and the shared sketch and lowering
     caches recompute on every lookup (no counters move).  Nestable and
     exception-safe; the patches are process-wide.
     """
@@ -537,6 +554,7 @@ def reference_hot_path() -> Iterator[None]:
         (LatencySimulator, "breakdown", reference_breakdown),
         (LatencySimulator, "batch_latency", batch_latency_reference),
         (RegressionTree, "_best_split", best_split_reference),
+        (GradientBoostedTrees, "predict", forest_predict_reference),
         (Measurer, "_run_batch", run_batch_reference),
         (ScheduleRegistry, "_nearest_locked", nearest_reference),
         (ScheduleRegistry, "_donor_scores_locked", donor_scores_reference),

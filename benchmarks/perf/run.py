@@ -180,15 +180,24 @@ def bench_batched_prediction(repeats: int, batch: int) -> Dict[str, object]:
     target = cpu_target()
     simulator = LatencySimulator(target)
     model = ScheduleCostModel(seed=0)
-    train = schedules[:64]
+    # The first 64 schedules of a batch of at least 64, so a tiny smoke batch
+    # still trains the model (an untrained one answers with random priors).
+    train = _schedule_batch(max(batch, 64))[:64]
     latencies = simulator.batch_latency(train)
     model.update(train, [s.dag.flops / lat for s, lat in zip(train, latencies)])
+    if not model.is_trained(train[0].dag.name):
+        raise AssertionError("batched_prediction needs a trained cost model")
+
+    def per_schedule():
+        return np.concatenate([model.predict([schedule]) for schedule in schedules])
 
     fast = _time(lambda: model.predict(schedules), repeats)
+    fast_result = model.predict(schedules)
     with reference_hot_path():
-        legacy = _time(
-            lambda: [model.predict([schedule]) for schedule in schedules], repeats
-        )
+        legacy = _time(per_schedule, repeats)
+        legacy_result = per_schedule()
+    if not np.array_equal(fast_result, legacy_result):
+        raise AssertionError("batched predictions differ from the per-tree reference")
     return _stage("batched_prediction", fast, len(schedules), "schedules/s", legacy)
 
 

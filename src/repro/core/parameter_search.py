@@ -6,6 +6,15 @@ the cost model, prune tracks via the adaptive-stopping module, train the
 actor/critic every ``T_rl`` steps, and finally measure only the top-K
 predicted schedules on the (simulated) hardware and feed the measurements
 back into the cost model.
+
+Every visited schedule is featurised and scored exactly once.  The loop
+keeps a feature matrix aligned with the live tracks: one
+:func:`batch_features` call per step covers the new schedules, and its rows
+feed the cost model, the critic's next-state values and the next step's
+policy states.  A track's current score is its last recorded one whenever
+the cost model is trained for the workload (the model does not change
+within an episode); a cold model is still asked, so its random priors draw
+from its RNG exactly as before.
 """
 
 from __future__ import annotations
@@ -130,7 +139,11 @@ class ParameterSearcher:
         # history of visited schedules: signature -> (schedule, best predicted score)
         history: Dict[Tuple, Tuple[Schedule, float]] = {}
 
-        initial_scores = self.cost_model.predict([t.schedule for t in tracks])
+        # Features of the live tracks' current schedules, one row per track.
+        states = batch_features([t.schedule for t in tracks])
+        initial_scores = self.cost_model.predict(
+            [t.schedule for t in tracks], features=states
+        )
         for track, score in zip(tracks, initial_scores):
             track.scores.append(float(score))
             self._record(history, track.schedule, float(score))
@@ -138,6 +151,7 @@ class ParameterSearcher:
         step = 0
         num_visited = len(tracks)
         rl_stats: Dict[str, float] = {}
+        workload = self.sketch.dag.name
 
         while (
             self.stopper.should_continue(step, sum(t.alive for t in tracks))
@@ -146,7 +160,6 @@ class ParameterSearcher:
             live = [t for t in tracks if t.alive]
             if not live:
                 break
-            states = batch_features([t.schedule for t in live])
             batch = self.agent.act(states)
 
             new_schedules = []
@@ -154,12 +167,17 @@ class ParameterSearcher:
                 action = self.action_space.decode(tuple(action_indices))
                 new_schedules.append(apply_action(track.schedule, action))
 
-            old_scores = self.cost_model.predict([t.schedule for t in live])
-            new_scores = self.cost_model.predict(new_schedules)
+            if self.cost_model.is_trained(workload):
+                old_scores = np.array([t.scores[-1] for t in live], dtype=np.float64)
+            else:
+                old_scores = self.cost_model.predict(
+                    [t.schedule for t in live], features=states
+                )
+            next_states = batch_features(new_schedules)
+            new_scores = self.cost_model.predict(new_schedules, features=next_states)
             rewards = (new_scores - old_scores) / (np.abs(old_scores) + 1e-6)
             rewards = np.clip(rewards, -2.0, 2.0)
 
-            next_states = batch_features(new_schedules)
             next_values = self.agent.value(next_states)
             td_targets, advantages = self.agent.compute_advantage(
                 rewards, batch.values, next_values
@@ -176,11 +194,13 @@ class ParameterSearcher:
             if step % cfg.train_interval == 0:
                 rl_stats = self.agent.update()
 
+            states = next_states
             if self.stopper.is_elimination_step(step):
                 survivors = set(self.stopper.select_survivors(advantages))
                 for idx, track in enumerate(live):
                     if idx not in survivors:
                         track.alive = False
+                states = states[[track.alive for track in live]]
 
         measured = self._measure_top_k(history, max_measures)
         throughputs = [r.throughput for r in measured]

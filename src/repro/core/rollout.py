@@ -30,8 +30,9 @@ class _Batch:
 class ReplayBuffer:
     """Fixed-capacity FIFO buffer of transitions.
 
-    All arrays are pre-allocated; ``add`` copies a batch of transitions in and
-    overwrites the oldest entries once the capacity is reached.
+    All arrays are pre-allocated; ``add`` writes a batch of transitions in
+    one vectorised ring-index assignment and overwrites the oldest entries
+    once the capacity is reached.
     """
 
     def __init__(self, capacity: int, state_size: int, num_heads: int, seed: int = 0):
@@ -75,16 +76,20 @@ class ReplayBuffer:
             and len(advantages) == n
         ):
             raise ValueError("all transition arrays must have the same leading dimension")
-        for i in range(n):
-            idx = self._next
-            self._states[idx] = states[i]
-            self._actions[idx] = actions[i]
-            self._old_log_probs[idx] = old_log_probs[i]
-            self._rewards[idx] = rewards[i]
-            self._td_targets[idx] = td_targets[i]
-            self._advantages[idx] = advantages[i]
-            self._next = (self._next + 1) % self.capacity
-            self._size = min(self._size + 1, self.capacity)
+        # Row i lands in ring slot (next + i) % capacity.  When the batch is
+        # larger than the buffer only its last ``capacity`` rows survive, so
+        # only those are written: the slots are then distinct and the result
+        # matches writing the rows one at a time.
+        first = max(0, n - self.capacity)
+        slots = (self._next + np.arange(first, n)) % self.capacity
+        self._states[slots] = states[first:]
+        self._actions[slots] = actions[first:]
+        self._old_log_probs[slots] = np.asarray(old_log_probs, dtype=np.float64)[first:]
+        self._rewards[slots] = np.asarray(rewards, dtype=np.float64)[first:]
+        self._td_targets[slots] = np.asarray(td_targets, dtype=np.float64)[first:]
+        self._advantages[slots] = np.asarray(advantages, dtype=np.float64)[first:]
+        self._next = (self._next + n) % self.capacity
+        self._size = min(self._size + n, self.capacity)
 
     def sample(self, batch_size: int) -> Dict[str, np.ndarray]:
         """Sample a mini-batch uniformly at random (without replacement)."""

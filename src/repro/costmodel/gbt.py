@@ -6,6 +6,13 @@ ensemble, with shrinkage and row subsampling.  It is intentionally small —
 the cost model only needs to rank a few hundred schedules per round — but the
 training loop, early stopping and feature subsampling mirror the structure of
 the real thing so the ablation experiments behave comparably.
+
+Prediction scores the whole forest in one pass.  After ``fit`` the trees'
+flattened node arrays are concatenated, with per-tree offsets, into one
+forest, and ``predict`` routes an ``(n_rows, n_trees)`` node matrix level by
+level in at most ``max_depth`` NumPy steps.  The per-tree contributions are
+then added in tree order, so the result is bit-identical to summing the
+trees one at a time (the loop kept in ``benchmarks/perf/oracles.py``).
 """
 
 from __future__ import annotations
@@ -78,6 +85,8 @@ class GradientBoostedTrees:
             raise ValueError("X must be (n, d) and aligned with y")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite: a NaN target would poison every prediction")
 
         rng = np.random.default_rng(self.seed)
         n_samples, n_features = X.shape
@@ -120,8 +129,35 @@ class GradientBoostedTrees:
                 ):
                     break
 
+        self._flatten_forest()
         self._fitted = True
         return self
+
+    def _flatten_forest(self) -> None:
+        """Concatenate the trees' node arrays into one forest for :meth:`predict`.
+
+        Child indices are shifted by each tree's offset into the forest.
+        Leaves become self-loops (feature 0, both children the leaf itself),
+        so every row can take exactly ``depth`` routing steps without
+        masking out the rows that reached a leaf early.
+        """
+        trees = self._trees
+        sizes = [len(tree._node_value) for tree in trees]
+        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
+        feature = np.concatenate([tree._node_feature for tree in trees])
+        left = np.concatenate([tree._node_left + off for tree, off in zip(trees, offsets)])
+        right = np.concatenate([tree._node_right + off for tree, off in zip(trees, offsets)])
+        leaves = np.nonzero(feature < 0)[0]
+        feature[leaves] = 0
+        left[leaves] = leaves
+        right[leaves] = leaves
+        self._forest_roots = offsets
+        self._forest_feature = feature
+        self._forest_threshold = np.concatenate([tree._node_threshold for tree in trees])
+        self._forest_left = left
+        self._forest_right = right
+        self._forest_value = np.concatenate([tree._node_value for tree in trees])
+        self._forest_depth = max(tree.depth for tree in trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self._fitted:
@@ -129,7 +165,17 @@ class GradientBoostedTrees:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
-        out = np.full(X.shape[0], self._base_prediction, dtype=np.float64)
-        for tree in self._trees:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        n_rows, n_trees = X.shape[0], len(self._trees)
+        # One node per (row, tree), row-major; every row starts at every root.
+        node = np.tile(self._forest_roots, n_rows)
+        rows = np.repeat(np.arange(n_rows), n_trees)
+        for _ in range(self._forest_depth):
+            go_left = X[rows, self._forest_feature[node]] <= self._forest_threshold[node]
+            node = np.where(go_left, self._forest_left[node], self._forest_right[node])
+        # Column 0 is the base prediction, column t + 1 tree t's contribution;
+        # ``add.accumulate`` sums each row strictly left to right, i.e. in tree
+        # order, exactly as ``out += learning_rate * tree.predict(X)`` per tree.
+        terms = np.empty((n_rows, n_trees + 1), dtype=np.float64)
+        terms[:, 0] = self._base_prediction
+        terms[:, 1:] = self.learning_rate * self._forest_value[node].reshape(n_rows, n_trees)
+        return np.add.accumulate(terms, axis=1)[:, -1].copy()

@@ -7,12 +7,17 @@ measurements" behaviour in Section 3.2 of the paper), and predicts a
 normalised performance score for unmeasured schedules.  The score is the
 throughput relative to the best measured schedule of the same workload, so
 scores are comparable across workloads and usable directly as RL rewards.
+
+``predict`` featurises its schedules only when the workload has a trained
+model, and a caller that already holds the feature rows (the parameter
+search featurises every visited schedule once) passes them in as
+``features`` so they are not computed again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -126,8 +131,18 @@ class ScheduleCostModel:
         data = self._data.get(workload_name)
         return len(data.throughputs) if data else 0
 
-    def predict(self, schedules: Sequence[Schedule]) -> np.ndarray:
-        """Predicted performance score per schedule (≈ 1.0 for the best seen)."""
+    def predict(
+        self, schedules: Sequence[Schedule], features: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Predicted performance score per schedule (≈ 1.0 for the best seen).
+
+        ``features`` are optional precomputed :func:`batch_features` rows,
+        one per schedule in the same order; without them the rows of the
+        trained workloads are computed here.  Cold-start workloads are never
+        featurised.
+        """
+        if features is not None and len(features) != len(schedules):
+            raise ValueError("features must have one row per schedule")
         if not schedules:
             return np.zeros(0, dtype=np.float64)
         scores = np.zeros(len(schedules), dtype=np.float64)
@@ -135,13 +150,16 @@ class ScheduleCostModel:
         for idx, schedule in enumerate(schedules):
             by_workload.setdefault(schedule.dag.name, []).append(idx)
         for key, indices in by_workload.items():
-            feats = batch_features([schedules[i] for i in indices])
             model = self._models.get(key)
             if model is None:
                 # Cold start: weak uninformative prior, like an untrained booster.
                 scores[indices] = 0.05 * self._rng.random(len(indices))
+                continue
+            if features is None:
+                feats = batch_features([schedules[i] for i in indices])
             else:
-                scores[indices] = np.clip(model.predict(feats), 0.0, None)
+                feats = features[indices]
+            scores[indices] = np.clip(model.predict(feats), 0.0, None)
         return scores
 
     def predict_throughput(self, schedules: Sequence[Schedule]) -> np.ndarray:
@@ -174,7 +192,9 @@ class RandomCostModel:
     def num_samples(self, workload_name: str) -> int:
         return 0
 
-    def predict(self, schedules: Sequence[Schedule]) -> np.ndarray:
+    def predict(
+        self, schedules: Sequence[Schedule], features: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         return self._rng.random(len(schedules))
 
     def predict_throughput(self, schedules: Sequence[Schedule]) -> np.ndarray:

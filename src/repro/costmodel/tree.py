@@ -10,9 +10,9 @@ equivalence tests and the perf harness compare against it.
 Prediction is vectorised as well: after fitting, the tree is flattened into
 parallel node arrays (feature, threshold, child indices, leaf value) and a
 whole feature matrix is routed level by level in at most ``max_depth`` NumPy
-steps, instead of walking the node objects once per row.  This is what makes
-batched cost-model inference fast enough for the measurement pipeline's
-large candidate batches.
+steps, instead of walking the node objects once per row.  The boosted
+ensemble (:mod:`repro.costmodel.gbt`) concatenates these arrays across its
+trees and routes the whole forest in one such pass.
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ class RegressionTree:
             raise ValueError("X and y have mismatched lengths")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite")
         self._root = self._build(X, y, depth=0)
         self._flatten()
         return self
@@ -122,7 +124,11 @@ class RegressionTree:
         rights: list = []
         values: list = []
 
-        def add(node: _Node) -> int:
+        depth = 0
+
+        def add(node: _Node, level: int) -> int:
+            nonlocal depth
+            depth = max(depth, level)
             idx = len(features)
             features.append(-1)
             thresholds.append(node.threshold)
@@ -131,11 +137,13 @@ class RegressionTree:
             values.append(node.prediction)
             if not node.is_leaf:
                 features[idx] = node.feature
-                lefts[idx] = add(node.left)
-                rights[idx] = add(node.right)
+                lefts[idx] = add(node.left, level + 1)
+                rights[idx] = add(node.right, level + 1)
             return idx
 
-        add(self._root)
+        add(self._root, 0)
+        #: Levels below the root: the routing steps a row needs to reach a leaf.
+        self.depth = depth
         self._node_feature = np.asarray(features, dtype=np.intp)
         self._node_threshold = np.asarray(thresholds, dtype=np.float64)
         self._node_left = np.asarray(lefts, dtype=np.intp)
@@ -144,7 +152,12 @@ class RegressionTree:
 
     def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
         node = _Node(prediction=float(np.mean(y)))
-        if depth >= self.max_depth or len(y) < 2 * self.min_samples_leaf or np.allclose(y, y[0]):
+        if depth >= self.max_depth or len(y) < 2 * self.min_samples_leaf:
+            return node
+        # ``np.allclose(y, y[0])`` written out: ``fit`` checked that y is
+        # finite, so allclose's inf/nan handling would only cost time in a
+        # test that runs at every node of every fit.
+        if np.all(np.abs(y - y[0]) <= 1e-8 + 1e-5 * abs(y[0])):
             return node
 
         feature, threshold, gain = self._best_split(X, y)

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import repro.core.parameter_search as parameter_search
 from repro.core.actor_critic import PPOAgent
 from repro.core.adaptive_stopping import AdaptiveStopper, FixedLengthStopper
 from repro.core.parameter_search import ParameterSearcher
 from repro.costmodel.model import ScheduleCostModel
 from repro.hardware.measurer import Measurer
 from repro.tensor.actions import ActionSpace
-from repro.tensor.features import FEATURE_SIZE
+from repro.tensor.features import FEATURE_SIZE, batch_features
 from repro.tensor.sampler import sample_initial_schedules
 from repro.tensor.sketch import generate_sketches
 from repro.tensor.workloads import gemm
@@ -104,3 +105,42 @@ class TestEpisode:
         b = _make_searcher(big_sketch, cpu, tiny_config, seed=5)[0].run_episode()
         assert a.best_latency == pytest.approx(b.best_latency)
         assert a.num_visited == b.num_visited
+
+
+class TestScoreEachScheduleOnce:
+    """Every visited schedule is featurised once, and scored once by a trained model."""
+
+    def test_visited_schedules_featurised_and_scored_once(
+        self, big_sketch, cpu, tiny_config, monkeypatch
+    ):
+        searcher, _, cost_model = _make_searcher(big_sketch, cpu, tiny_config)
+        featurised = []
+        scored = []
+
+        def counting_features(schedules):
+            featurised.append(len(schedules))
+            return batch_features(schedules)
+
+        predict = cost_model.predict
+
+        def counting_predict(schedules, features=None):
+            scored.append(len(schedules))
+            return predict(schedules, features=features)
+
+        monkeypatch.setattr(parameter_search, "batch_features", counting_features)
+        monkeypatch.setattr(cost_model, "predict", counting_predict)
+        trained_episodes = 0
+        for _ in range(4):
+            trained = cost_model.is_trained(big_sketch.dag.name)
+            featurised.clear()
+            scored.clear()
+            episode = searcher.run_episode()
+            assert sum(featurised) == episode.num_visited
+            if trained:
+                trained_episodes += 1
+                assert sum(scored) == episode.num_visited
+            else:
+                # A cold model is also asked for the current tracks' scores,
+                # so its random priors draw as many numbers as before.
+                assert sum(scored) > episode.num_visited
+        assert 0 < trained_episodes < 4

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from benchmarks.perf.oracles import forest_predict_reference
 from repro.costmodel.gbt import GradientBoostedTrees
 
 
@@ -86,3 +87,73 @@ class TestValidation:
     def test_bad_n_estimators_rejected(self):
         with pytest.raises(ValueError):
             GradientBoostedTrees(n_estimators=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, rng, bad):
+        # A single NaN target used to fit "successfully" and then predict NaN
+        # for every row.
+        X, y = _friedman_like(rng, n=40)
+        y[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GradientBoostedTrees(seed=0).fit(X, y)
+
+
+class TestForestPredictMatchesReference:
+    """The one-pass forest predict is bit-equal to summing the trees in order."""
+
+    @staticmethod
+    def _assert_bit_equal(model, X):
+        fast = model.predict(X)
+        assert fast.shape == (X.shape[0],)
+        assert np.array_equal(fast, forest_predict_reference(model, X))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_data(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.random((240, 60))
+        y = 3 * X[:, 0] + np.sin(5 * X[:, 1]) + rng.normal(0.0, 0.1, 240)
+        model = GradientBoostedTrees(seed=seed).fit(X, y)
+        assert model.n_trees == 50
+        self._assert_bit_equal(model, X)
+        self._assert_bit_equal(model, rng.random((300, 60)))
+
+    def test_forest_containing_stumps(self, rng):
+        # One informative column among nine constant ones, one candidate
+        # feature per split: most roots draw a constant column and stay leaves.
+        X = np.column_stack([rng.random(80), np.ones((80, 9))])
+        y = 2 * X[:, 0] + rng.normal(0.0, 0.1, 80)
+        model = GradientBoostedTrees(
+            n_estimators=20, colsample=0.1, early_stopping_rounds=None, seed=0
+        ).fit(X, y)
+        depths = [tree.depth for tree in model._trees]
+        assert 0 in depths and max(depths) > 0
+        self._assert_bit_equal(model, X)
+
+    def test_all_stump_forest(self, rng):
+        X = rng.random((30, 3))
+        model = GradientBoostedTrees(n_estimators=5, seed=0).fit(X, np.full(30, 2.5))
+        assert all(tree.depth == 0 for tree in model._trees)
+        self._assert_bit_equal(model, X)
+
+    def test_one_tree_forest(self, rng):
+        X, y = _friedman_like(rng, n=100)
+        model = GradientBoostedTrees(n_estimators=1, seed=0).fit(X, y)
+        assert model.n_trees == 1
+        self._assert_bit_equal(model, X)
+
+    def test_early_stopped_forest(self, rng):
+        # The first full-rate tree fits the step exactly; the stumps after it
+        # cannot improve the loss, so boosting stops early.
+        X = rng.random((60, 4))
+        y = (X[:, 0] > 0.5).astype(np.float64)
+        model = GradientBoostedTrees(
+            n_estimators=50, learning_rate=1.0, subsample=1.0, early_stopping_rounds=3, seed=0
+        ).fit(X, y)
+        assert model.n_trees < 50
+        self._assert_bit_equal(model, X)
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_tiny_inputs(self, rng, n_rows):
+        X, y = _friedman_like(rng, n=100)
+        model = GradientBoostedTrees(seed=0).fit(X, y)
+        self._assert_bit_equal(model, X[:n_rows])

@@ -46,6 +46,16 @@ class TestFitPredict:
         # so there are at most 2 distinct predictions.
         assert len(np.unique(np.round(tree.predict(X), 12))) <= 2
 
+    @pytest.mark.parametrize("spread, splits", [(1e-6, False), (1e-3, True)])
+    def test_near_constant_node_is_a_leaf(self, rng, spread, splits):
+        # The stop test is np.allclose(y, y[0]) written out: a node whose
+        # targets all lie within 1e-8 + 1e-5 * |y[0]| of y[0] is not split.
+        X = rng.random((40, 2))
+        y = 7.0 + spread * X[:, 0]
+        assert np.allclose(y, y[0]) is not splits
+        tree = RegressionTree(max_depth=3).fit(X, y)
+        assert (tree.depth > 0) is splits
+
     def test_duplicate_feature_values_handled(self):
         X = np.zeros((30, 2))
         y = np.arange(30, dtype=float)
@@ -68,6 +78,12 @@ class TestValidation:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             RegressionTree().fit(np.zeros((0, 3)), np.zeros(0))
+
+    def test_non_finite_target_rejected(self, rng):
+        y = rng.random(10)
+        y[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            RegressionTree().fit(rng.random((10, 2)), y)
 
     def test_mismatched_lengths_rejected(self, rng):
         with pytest.raises(ValueError):
