@@ -4,8 +4,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test coverage bench bench-smoke bench-full serve-demo serve-load \
-	network-smoke network-demo perf perf-gate perf-scale lint gate analyze
+.PHONY: test coverage bench bench-smoke bench-full examples-smoke serve-demo \
+	serve-load network-smoke network-demo perf perf-gate perf-scale lint gate \
+	analyze
 
 ## Tier-1 verification: the full unit/property/integration suite.
 test:
@@ -23,6 +24,17 @@ coverage:
 ## Use this to sanity-check perf-sensitive changes before a full run.
 bench-smoke:
 	$(PYTHON) -m pytest -m smoke benchmarks -q
+
+## Run the examples end to end (a few seconds each): the quickstart with and
+## without a record log (which must end in the tuning result line), the
+## operator comparison and the serving demo.
+examples-smoke:
+	$(PYTHON) examples/quickstart.py
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(PYTHON) examples/quickstart.py --records-out "$$tmp/quickstart.jsonl" && \
+		tail -n 1 "$$tmp/quickstart.jsonl" | grep -q '"kind": "result"'
+	$(PYTHON) examples/compare_operator_tuning.py
+	$(PYTHON) examples/serving_demo.py
 
 ## Laptop-scale reproduction of every figure/table benchmark.
 bench:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.config import HARLConfig
 from repro.core.scheduler import HARLScheduler
+from repro.hardware.measurer import Measurer
 from repro.hardware.parallel import ParallelMeasurer
 from repro.hardware.target import cpu_target
 from repro.records import RecordStore
@@ -48,7 +49,11 @@ def test_smoke_records_roundtrip_and_resume(tmp_path):
     path = tmp_path / "records.jsonl"
 
     with RecordStore(path) as store:
-        first = HARLScheduler(config=cfg, seed=0, record_store=store).tune(
+        measurer = Measurer(
+            cpu_target(), min_repeat_seconds=cfg.min_repeat_seconds, seed=0,
+            record_store=store,
+        )
+        first = HARLScheduler(config=cfg, seed=0, measurer=measurer).tune(
             dag, _SMOKE_TRIALS
         )
     loaded = RecordStore.load(path)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro import HARLConfig, HARLScheduler, ParallelMeasurer, RecordStore, cpu_target, gemm
+from repro import HARLConfig, HARLScheduler, RecordStore, cpu_target, gemm
+from repro.experiments.runner import make_measurer
 
 
 def main() -> None:
@@ -40,20 +41,11 @@ def main() -> None:
     # A quarter of the paper-scale episode width keeps the example snappy.
     config = HARLConfig.scaled(0.25)
 
-    measurer = None
+    # The measurer owns the record log: it appends every measurement, and the
+    # scheduler appends its final result through it.
     record_store = RecordStore(args.records_out) if args.records_out else None
-    if args.num_workers > 1:
-        measurer = ParallelMeasurer(
-            target,
-            num_workers=args.num_workers,
-            min_repeat_seconds=config.min_repeat_seconds,
-            seed=args.seed,
-            record_store=record_store,
-        )
-    scheduler = HARLScheduler(
-        target=target, config=config, seed=args.seed,
-        measurer=measurer, record_store=record_store,
-    )
+    measurer = make_measurer(target, config, args.seed, args.num_workers, record_store)
+    scheduler = HARLScheduler(target=target, config=config, seed=args.seed, measurer=measurer)
 
     print(f"Tuning {dag.name} ({dag.flops / 1e9:.2f} GFLOPs) on {target.name} "
           f"with {args.trials} measurement trials...")

@@ -58,14 +58,13 @@ class SimulatedAnnealingScheduler(RoundScheduler):
         cooling: float = 0.9,
         cost_model: Optional[ScheduleCostModel] = None,
         measurer: Optional[Measurer] = None,
-        record_store=None,
         warm_start_provider=None,
     ):
         if num_chains < 1 or steps_per_round < 1:
             raise ValueError("num_chains and steps_per_round must be >= 1")
         super().__init__(
             target=target, seed=seed, cost_model=cost_model, measurer=measurer,
-            record_store=record_store, warm_start_provider=warm_start_provider,
+            warm_start_provider=warm_start_provider,
         )
         self.num_chains = int(num_chains)
         self.steps_per_round = int(steps_per_round)

@@ -76,12 +76,11 @@ class FlextensorScheduler(RoundScheduler):
         seed: int = 0,
         cost_model: Optional[ScheduleCostModel] = None,
         measurer: Optional[Measurer] = None,
-        record_store=None,
         warm_start_provider=None,
     ):
         super().__init__(
             target=target, config=config or HARLConfig(), seed=seed,
-            cost_model=cost_model, measurer=measurer, record_store=record_store,
+            cost_model=cost_model, measurer=measurer,
             warm_start_provider=warm_start_provider,
         )
 

@@ -48,7 +48,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from contextlib import ExitStack, contextmanager, nullcontext
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Sequence
 
 from repro.core.allocation import tune_network
 from repro.core.config import HARLConfig
@@ -59,7 +61,7 @@ from repro.experiments.network_runner import NetworkTuner
 from repro.experiments.runner import compare_on_operator, make_measurer, make_scheduler
 from repro.experiments.sweep import sweep_networks, sweep_targets
 from repro.hardware.catalog import default_catalog
-from repro.hardware.target import cpu_target, gpu_target
+from repro.hardware.target import HardwareTarget, cpu_target, gpu_target
 from repro.records import RecordStore
 from repro.serving.fingerprint import structural_fingerprint
 from repro.serving.registry import ScheduleRegistry
@@ -73,7 +75,7 @@ __all__ = ["main", "build_parser"]
 _SCHEDULER_CHOICES = ("harl", "hierarchical-rl", "ansor", "flextensor", "autotvm")
 
 _EPILOG = """\
-measurement pipeline flags (available on every sub-command):
+measurement pipeline flags (on every tuning sub-command):
 
   --num-workers N   Fan each measurement batch out over N pool workers via
                     ParallelMeasurer.  Measurement noise is pre-drawn in
@@ -82,17 +84,19 @@ measurement pipeline flags (available on every sub-command):
   --records-out F   Stream every measurement (and the final tuning result) to
                     the append-only JSONL log F while tuning runs.  The log is
                     flushed per line, so a killed run loses at most one line.
-  --resume-from F   Load a JSONL log written by --records-out and resume from
-                    it: the cost model is warm-started with all recorded
-                    measurements and the best recorded schedules seed the
-                    search, so the new trial budget extends the old run
-                    instead of repeating it.  Corrupted lines are skipped.
+  --resume-from F   tune-op and tune-network only.  Load a JSONL log written
+                    by --records-out and resume from it: the cost model is
+                    warm-started with all recorded measurements and the best
+                    recorded schedules seed the search, so the new trial
+                    budget extends the old run instead of repeating it.
+                    Corrupted lines are skipped.
 
   For `compare`, --records-out names a directory instead: each competing
-  scheduler writes its own <scheduler>.jsonl log there (no cross-talk), and
-  --resume-from is ignored (comparisons always start from scratch so the
-  head-to-head stays fair).  `serve` and `sweep` also ignore --resume-from:
-  service jobs warm-start from the registry, not from record logs.
+  scheduler writes its own <scheduler>.jsonl log there (no cross-talk).
+  Service commands (`network`, `serve`, `bench-load`, `sweep`, `metrics`,
+  `trace`) warm-start from the registry, not from record logs, and
+  comparisons always start from scratch, so only tune-op and tune-network
+  take --resume-from.
 
   --registry DIR    Use the persistent schedule registry at DIR: tuning runs
                     record their best schedules into it (keyed by canonical
@@ -152,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, resume: bool = False):
         p.add_argument("--target", default="cpu", metavar="NAME",
                        help="hardware target: a catalog name (see `repro "
                             "targets list`) or the cpu / gpu aliases")
@@ -165,9 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "seed-identical either way)")
         p.add_argument("--records-out", metavar="FILE", default=None,
                        help="append every measurement to this JSONL record log")
-        p.add_argument("--resume-from", metavar="FILE", default=None,
-                       help="warm-start from a JSONL record log written by "
-                            "--records-out")
+        if resume:
+            p.add_argument("--resume-from", metavar="FILE", default=None,
+                           help="warm-start from a JSONL record log written by "
+                                "--records-out")
         p.add_argument("--registry", metavar="DIR", default=None,
                        help="persistent schedule registry directory: record "
                             "best schedules into it and warm-start from it")
@@ -178,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     op = sub.add_parser("tune-op", help="tune one Table 6 operator class",
                         epilog=_EPILOG,
                         formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(op)
+    common(op, resume=True)
     op.add_argument("--op", choices=OPERATOR_CLASSES, default="GEMM-L")
     op.add_argument("--batch", type=int, default=1)
     op.add_argument("--scheduler", choices=_SCHEDULER_CHOICES, default="harl")
@@ -188,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     net = sub.add_parser("tune-network", help="tune a network end to end",
                          epilog=_EPILOG,
                          formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(net)
+    common(net, resume=True)
     net.add_argument("--network", choices=_NETWORK_CHOICES, default="bert")
     net.add_argument("--batch", type=int, default=1)
     net.add_argument("--scheduler", choices=("harl", "ansor"), default="harl")
@@ -383,85 +388,97 @@ def _resolve_target(name: str):
         raise SystemExit(2) from None
 
 
-def _build_pipeline(args, target, config: HARLConfig):
-    """Resolve the (measurer, record store, resume store) trio for a run."""
-    record_store = RecordStore(args.records_out) if args.records_out else None
-    resume_store = None
-    if args.resume_from:
-        if record_store is not None and args.resume_from == args.records_out:
-            # Resuming into the same log: reuse the already-loaded store so
-            # new lines are appended to the history being resumed.
-            resume_store = record_store
-        else:
+@dataclass
+class _Run:
+    """What one command runs on: target, config, record log and registry.
+
+    ``records`` is the ``--records-out`` log (``None`` without the flag) and
+    ``registry`` the ``--registry`` directory (in memory without the flag).
+    Both belong to :func:`_session`, which closes them; whatever a command
+    builds from them (a measurer, a scheduler, a service) only borrows them.
+    """
+
+    args: argparse.Namespace
+    target: Optional[HardwareTarget]
+    config: HARLConfig
+    records: Optional[RecordStore]
+    registry: ScheduleRegistry
+
+    def service(self) -> TuningService:
+        """The tuning service of the service commands."""
+        return TuningService(
+            registry=self.registry, target=self.target, config=self.config,
+            seed=self.args.seed, record_store=self.records,
+            num_workers=self.args.num_workers,
+        )
+
+    def scheduler(self, name: str):
+        """A standalone scheduler for tune-op / tune-network.
+
+        Its measurer holds the record log, the registry warm-starts it, and
+        ``--resume-from`` replays a log into it (the open log itself when
+        resuming into the same file, so new lines extend that history).
+        """
+        args, target, registry = self.args, self.target, self.registry
+        measurer = make_measurer(target, self.config, args.seed, args.num_workers,
+                                 self.records)
+        scheduler = make_scheduler(
+            name, target, self.config, args.seed, measurer=measurer,
+            warm_start_provider=lambda dag: registry.warm_start_schedules(dag, target),
+        )
+        if args.resume_from == args.records_out and self.records is not None:
+            scheduler.resume_from(self.records)
+        elif args.resume_from:
             try:
-                resume_store = RecordStore.load(args.resume_from)
+                scheduler.resume_from(RecordStore.load(args.resume_from))
             except FileNotFoundError:
                 print(f"error: --resume-from {args.resume_from!r} does not exist",
                       file=sys.stderr)
                 raise SystemExit(2) from None
-    measurer = make_measurer(target, config, args.seed, args.num_workers, record_store)
-    return measurer, record_store, resume_store
+        return scheduler
 
 
-def _open_registry(args) -> Optional[ScheduleRegistry]:
-    registry_dir = getattr(args, "registry", None)
-    return ScheduleRegistry(registry_dir) if registry_dir else None
-
-
-def _warm_start_provider(registry: Optional[ScheduleRegistry], target):
-    if registry is None:
-        return None
-    return lambda dag: registry.warm_start_schedules(dag, target)
+@contextmanager
+def _session(args) -> Iterator[_Run]:
+    """Open a command's record log and registry; close both however it ends."""
+    target = _resolve_target(args.target) if args.target else None
+    with ExitStack() as stack:
+        records = None
+        if args.records_out:
+            records = stack.enter_context(RecordStore(args.records_out))
+        registry = stack.enter_context(ScheduleRegistry(args.registry))
+        yield _Run(args, target, HARLConfig.scaled(args.scale), records, registry)
 
 
 def _cmd_tune_op(args) -> int:
-    target = _resolve_target(args.target)
-    config = HARLConfig.scaled(args.scale)
-    measurer, record_store, resume_store = _build_pipeline(args, target, config)
-    registry = _open_registry(args)
-    scheduler = make_scheduler(args.scheduler, target, config, args.seed,
-                               measurer=measurer, record_store=record_store,
-                               warm_start_provider=_warm_start_provider(registry, target))
-    if resume_store is not None:
-        scheduler.resume_from(resume_store)
-    dag = representative_dag(args.op, batch=args.batch)
-    result = scheduler.tune(dag, n_trials=args.trials)
-    if registry is not None:
-        registry.record_result(dag, target, result, source=f"cli:{args.scheduler}")
-        registry.close()
-    print(format_table(
-        ["workload", "scheduler", "best latency (ms)", "TFLOP/s", "trials"],
-        [[dag.name, result.scheduler, result.best_latency * 1e3,
-          result.best_throughput / 1e12, result.trials_used]],
-    ))
-    if args.show_program and result.best_schedule is not None:
-        print()
-        print(cached_lowering(result.best_schedule))
-    if record_store is not None:
-        record_store.close()
+    with _session(args) as run:
+        scheduler = run.scheduler(args.scheduler)
+        dag = representative_dag(args.op, batch=args.batch)
+        result = scheduler.tune(dag, n_trials=args.trials)
+        run.registry.record_result(dag, run.target, result, source=f"cli:{args.scheduler}")
+        print(format_table(
+            ["workload", "scheduler", "best latency (ms)", "TFLOP/s", "trials"],
+            [[dag.name, result.scheduler, result.best_latency * 1e3,
+              result.best_throughput / 1e12, result.trials_used]],
+        ))
+        if args.show_program and result.best_schedule is not None:
+            print()
+            print(cached_lowering(result.best_schedule))
+    if args.records_out:
         print(f"\nrecords written to {args.records_out}")
     return 0
 
 
 def _cmd_tune_network(args) -> int:
-    target = _resolve_target(args.target)
-    config = HARLConfig.scaled(args.scale)
-    measurer, record_store, resume_store = _build_pipeline(args, target, config)
-    registry = _open_registry(args)
-    scheduler = make_scheduler(args.scheduler, target, config, args.seed,
-                               measurer=measurer, record_store=record_store,
-                               warm_start_provider=_warm_start_provider(registry, target))
-    if resume_store is not None:
-        scheduler.resume_from(resume_store)
-    network = build_network(args.network, batch_size=args.batch)
-    result = tune_network(scheduler, network, n_trials=args.trials)
-    if registry is not None:
+    with _session(args) as run:
+        scheduler = run.scheduler(args.scheduler)
+        network = build_network(args.network, batch_size=args.batch)
+        result = tune_network(scheduler, network, n_trials=args.trials)
         for sg in network:
             task_result = result.task_results.get(sg.name)
             if task_result is not None:
-                registry.record_result(sg.dag, target, task_result,
-                                       source=f"cli:{args.scheduler}")
-        registry.close()
+                run.registry.record_result(sg.dag, run.target, task_result,
+                                           source=f"cli:{args.scheduler}")
     rows = [
         [name, result.allocations.get(name, 0), res.best_latency * 1e3]
         for name, res in sorted(result.task_results.items())
@@ -470,8 +487,7 @@ def _cmd_tune_network(args) -> int:
                        title=f"{network.name} via {result.scheduler}"))
     print(f"\nestimated end-to-end latency: {result.best_latency * 1e3:.3f} ms "
           f"({result.trials_used} trials)")
-    if record_store is not None:
-        record_store.close()
+    if args.records_out:
         print(f"records written to {args.records_out}")
     return 0
 
@@ -495,77 +511,70 @@ def _cmd_network(args) -> int:
         ))
         return 0
 
-    target = _resolve_target(args.target)
+    if args.action == "report" and not args.registry:
+        print("error: network report needs --registry", file=sys.stderr)
+        return 2
     network = build_network(args.network, batch_size=args.batch)
-
-    if args.action == "report":
-        if not args.registry:
-            print("error: network report needs --registry", file=sys.stderr)
-            return 2
-        registry = ScheduleRegistry(args.registry)
-        rows, latencies = [], {}
-        for sg in network:
-            found = registry.lookup(sg.dag, target, k=1)
-            entry = found.entry
-            if entry is not None:
-                latencies[sg.name] = entry.latency
-                rows.append([sg.name, sg.weight, entry.latency * 1e6,
-                             entry.scheduler, entry.trials,
-                             entry.source or "n/a", entry.donor_target or "-"])
-            else:
-                hint = (f"nearest: {found.neighbors[0][1].workload}"
-                        if found.neighbors else "no relative registered")
-                rows.append([sg.name, sg.weight, float("inf"), "-", 0, hint, "-"])
-        covered = len(latencies)
-        print(format_table(
-            ["task", "w_n", "g_n (us)", "scheduler", "trials", "source",
-             "donor target"],
-            rows, title=f"{network.name} registry coverage on {target.name}",
-        ))
-        estimate = network.estimated_latency(latencies)
-        if estimate < float("inf"):
-            print(f"\nfully covered: registry-estimated f(S) = "
-                  f"{estimate * 1e3:.3f} ms ({covered}/{len(network)} tasks)")
-        else:
-            print(f"\n{covered}/{len(network)} tasks covered; "
-                  "`repro network tune` fills the gaps")
-        registry.close()
-        return 0
-
-    # action == "tune"
-    config = HARLConfig.scaled(args.scale)
-    registry = _open_registry(args)
-    if registry is None:  # explicit: an *empty* registry is falsy (len == 0)
-        registry = ScheduleRegistry()
-    record_store = RecordStore(args.records_out) if args.records_out else None
-    service = TuningService(
-        registry=registry, target=target, config=config, seed=args.seed,
-        record_store=record_store, num_workers=args.num_workers,
-    )
-    tuner = NetworkTuner(network, service, policy=args.policy,
-                         scheduler=args.scheduler, force_tune=args.force_tune)
-    report = tuner.tune(n_trials=args.trials)
-    print(report.format())
-    print(f"registry now holds {len(registry)} entries")
+    with _session(args) as run:
+        if args.action == "report":
+            _network_report(network, run.registry, run.target)
+            return 0
+        # action == "tune"
+        tuner = NetworkTuner(network, run.service(), policy=args.policy,
+                             scheduler=args.scheduler, force_tune=args.force_tune)
+        report = tuner.tune(n_trials=args.trials)
+        print(report.format())
+        print(f"registry now holds {len(run.registry)} entries")
     if args.json:
         path = report.write_json(args.json)
         print(f"report written to {path}")
-    if record_store is not None:
-        record_store.close()
+    if args.records_out:
         print(f"records written to {args.records_out}")
-    registry.close()
     return 0
+
+
+def _network_report(network, registry: ScheduleRegistry, target) -> None:
+    """Print a network's registry coverage and, if complete, its f(S)."""
+    rows, latencies = [], {}
+    for sg in network:
+        found = registry.lookup(sg.dag, target, k=1)
+        entry = found.entry
+        if entry is not None:
+            latencies[sg.name] = entry.latency
+            rows.append([sg.name, sg.weight, entry.latency * 1e6,
+                         entry.scheduler, entry.trials,
+                         entry.source or "n/a", entry.donor_target or "-"])
+        else:
+            hint = (f"nearest: {found.neighbors[0][1].workload}"
+                    if found.neighbors else "no relative registered")
+            rows.append([sg.name, sg.weight, float("inf"), "-", 0, hint, "-"])
+    covered = len(latencies)
+    print(format_table(
+        ["task", "w_n", "g_n (us)", "scheduler", "trials", "source",
+         "donor target"],
+        rows, title=f"{network.name} registry coverage on {target.name}",
+    ))
+    estimate = network.estimated_latency(latencies)
+    if estimate < float("inf"):
+        print(f"\nfully covered: registry-estimated f(S) = "
+              f"{estimate * 1e3:.3f} ms ({covered}/{len(network)} tasks)")
+    else:
+        print(f"\n{covered}/{len(network)} tasks covered; "
+              "`repro network tune` fills the gaps")
 
 
 def _cmd_compare(args) -> int:
     target = _resolve_target(args.target)
-    config = HARLConfig.scaled(args.scale)
     dag = representative_dag(args.op, batch=args.batch)
-    comparison = compare_on_operator(
-        dag, n_trials=args.trials, target=target, config=config, seed=args.seed,
-        schedulers=("ansor", "harl"), num_workers=args.num_workers,
-        records_dir=args.records_out, registry=args.registry,
-    )
+    # --records-out is a directory of per-scheduler logs the runner owns;
+    # without --registry the runner falls back to REPRO_REGISTRY.
+    with ScheduleRegistry(args.registry) if args.registry else nullcontext() as registry:
+        comparison = compare_on_operator(
+            dag, n_trials=args.trials, target=target,
+            config=HARLConfig.scaled(args.scale), seed=args.seed,
+            schedulers=("ansor", "harl"), num_workers=args.num_workers,
+            records_dir=args.records_out, registry=registry,
+        )
     perf = comparison.normalized_performance()
     times = comparison.normalized_search_time()
     rows = [
@@ -634,7 +643,7 @@ def _parse_listen(listen: str):
         raise SystemExit(f"--listen port must be an integer, got {port!r}") from None
 
 
-def _cmd_serve_listen(args, service, registry) -> int:
+def _cmd_serve_listen(args, service) -> int:
     """The --listen mode of `serve`: a long-lived network front end."""
     import time as _time
 
@@ -643,7 +652,7 @@ def _cmd_serve_listen(args, service, registry) -> int:
     host, port = _parse_listen(args.listen)
     with ServingServer(service, _server_config(args, host=host, port=port)) as srv:
         print(f"serving newline-delimited JSON-RPC on {srv.host}:{srv.port} "
-              f"(target {service.target.name}, {len(registry)} registry "
+              f"(target {service.target.name}, {len(service.registry)} registry "
               f"entries); Ctrl-C to stop", flush=True)
         try:
             if args.duration > 0:
@@ -657,49 +666,33 @@ def _cmd_serve_listen(args, service, registry) -> int:
     print(f"served {stats['requests']} requests: {stats['accepted']} tuned, "
           f"{stats['fast_hits']} registry fast hits, {stats['shed']} shed, "
           f"{stats['timeouts']} timeouts; registry now holds "
-          f"{len(registry)} entries")
+          f"{len(service.registry)} entries")
     return 0
 
 
 def _cmd_serve(args) -> int:
-    target = _resolve_target(args.target)
-    config = HARLConfig.scaled(args.scale)
-    registry = _open_registry(args)
-    if registry is None:  # explicit: an *empty* registry is falsy (len == 0)
-        registry = ScheduleRegistry()
-    record_store = RecordStore(args.records_out) if args.records_out else None
-    service = TuningService(
-        registry=registry, target=target, config=config, seed=args.seed,
-        record_store=record_store, num_workers=args.num_workers,
-    )
-    if args.listen:
-        try:
-            return _cmd_serve_listen(args, service, registry)
-        finally:
-            if record_store is not None:
-                record_store.close()
-            registry.close()
-    if args.requests:
-        requests = _load_requests(args.requests, args.trials, args.scheduler)
-    else:
-        requests = _demo_requests(args.trials, args.scheduler)
-    handles = service.process(requests)
-    rows = [
-        [h.request.dag.name, h.request.tenant, h.source,
-         h.result.best_latency * 1e3, h.result.trials_used]
-        for h in handles
-    ]
-    print(format_table(
-        ["workload", "tenant", "source", "best latency (ms)", "trials"],
-        rows, title=f"tuning service on {target.name}",
-    ))
-    print(f"\njobs created: {service.jobs_created}, "
-          f"coalesced: {service.coalesced_requests}, "
-          f"registry hits: {service.registry_hits}; "
-          f"registry now holds {len(registry)} entries")
-    if record_store is not None:
-        record_store.close()
-    registry.close()
+    with _session(args) as run:
+        service = run.service()
+        if args.listen:
+            return _cmd_serve_listen(args, service)
+        if args.requests:
+            requests = _load_requests(args.requests, args.trials, args.scheduler)
+        else:
+            requests = _demo_requests(args.trials, args.scheduler)
+        handles = service.process(requests)
+        rows = [
+            [h.request.dag.name, h.request.tenant, h.source,
+             h.result.best_latency * 1e3, h.result.trials_used]
+            for h in handles
+        ]
+        print(format_table(
+            ["workload", "tenant", "source", "best latency (ms)", "trials"],
+            rows, title=f"tuning service on {run.target.name}",
+        ))
+        print(f"\njobs created: {service.jobs_created}, "
+              f"coalesced: {service.coalesced_requests}, "
+              f"registry hits: {service.registry_hits}; "
+              f"registry now holds {len(run.registry)} entries")
     return 0
 
 
@@ -712,25 +705,11 @@ def _cmd_bench_load(args) -> int:
         run_load,
     )
     from repro.serving.netclient import TuningClient
-    from repro.serving.server import ServerConfig, ServingServer
+    from repro.serving.server import ServingServer
 
-    target = _resolve_target(args.target)
-    registry = _open_registry(args)
-    if registry is None:
-        registry = ScheduleRegistry()
-    service = TuningService(
-        registry=registry, target=target,
-        config=HARLConfig.scaled(args.scale), seed=args.seed,
-        num_workers=args.num_workers,
-    )
-    server_config = ServerConfig(
-        max_inflight=1 if args.saturate else args.max_inflight,
-        workers=args.server_workers,
-        request_timeout=args.request_timeout,
-        rate=args.rate,
-        burst=args.burst,
-        quota=args.quota,
-    )
+    server_config = _server_config(args)
+    if args.saturate:
+        server_config = replace(server_config, max_inflight=1)
     load_config = LoadGenConfig(
         clients=args.clients,
         requests_per_client=args.per_client,
@@ -740,7 +719,7 @@ def _cmd_bench_load(args) -> int:
         pause=args.pause,
         seed=args.seed,
     )
-    with ServingServer(service, server_config) as server:
+    with _session(args) as run, ServingServer(run.service(), server_config) as server:
         if args.warmup > 0:
             # Steady state: tune the Zipf head once so the measured run
             # exercises the registry fast path under load rather than racing
@@ -749,7 +728,6 @@ def _cmd_bench_load(args) -> int:
                 for op, batch in DEFAULT_UNIVERSE[: args.warmup]:
                     warm.tune(op, batch=batch, trials=args.trials)
         report = run_load(server.host, server.port, load_config)
-    registry.close()
 
     lat = report["latency_ms"]
     print(f"bench-load: {report['answered']}/{report['requests']} answered in "
@@ -765,6 +743,8 @@ def _cmd_bench_load(args) -> int:
             json.dumps(report, indent=2) + "\n", encoding="utf-8"
         )
         print(f"report written to {args.output}")
+    if args.records_out:
+        print(f"records written to {args.records_out}")
     if args.check:
         failures = check_report(report)
         if failures:
@@ -776,30 +756,17 @@ def _cmd_bench_load(args) -> int:
     return 0
 
 
-def _run_service_demo(args, waves: int = 1):
+def _run_service_demo(args, waves: int = 1) -> None:
     """Run the built-in serve demo batch ``waves`` times over one registry.
 
     The second wave resubmits structurally identical workloads, so it is
     answered from the registry — which is exactly what makes the metrics
     report show non-trivial hit rates and fast-path latencies.
     """
-    target = _resolve_target(args.target)
-    config = HARLConfig.scaled(args.scale)
-    registry = _open_registry(args)
-    if registry is None:
-        registry = ScheduleRegistry()
-    record_store = RecordStore(args.records_out) if args.records_out else None
-    service = TuningService(
-        registry=registry, target=target, config=config, seed=args.seed,
-        record_store=record_store, num_workers=args.num_workers,
-    )
-    handles = []
-    for _wave in range(waves):
-        handles.extend(service.process(_demo_requests(args.trials, "harl")))
-    if record_store is not None:
-        record_store.close()
-    registry.close()
-    return service, handles
+    with _session(args) as run:
+        service = run.service()
+        for _wave in range(waves):
+            service.process(_demo_requests(args.trials, "harl"))
 
 
 def _percentile_row(summary: dict) -> str:
@@ -882,12 +849,12 @@ def _cmd_trace(args) -> int:
 
 def _cmd_query(args) -> int:
     target = _resolve_target(args.target)
-    registry = ScheduleRegistry(args.registry)
     dag = representative_dag(args.op, batch=args.batch)
     fingerprint = structural_fingerprint(dag)
     print(f"workload:    {dag.name}")
     print(f"fingerprint: {fingerprint[:16]}… on {target.name}")
-    found = registry.lookup(dag, target, k=args.neighbors)
+    with ScheduleRegistry(args.registry) as registry:
+        found = registry.lookup(dag, target, k=args.neighbors)
     exact = found.entry
     if exact is not None:
         print(f"exact hit:   {exact.latency * 1e3:.3f} ms "
@@ -905,35 +872,30 @@ def _cmd_query(args) -> int:
         print(format_table(
             ["nearest relative", "distance", "best latency (ms)", "scheduler"], rows,
         ))
-    registry.close()
     return 0
 
 
 def _cmd_registry(args) -> int:
-    registry = ScheduleRegistry(args.registry)
-    if args.action == "stats":
-        stats = registry.stats()
-        for key in ("entries", "workloads", "targets", "shard_files",
-                    "total_lines", "stale_lines", "skipped_lines"):
-            print(f"{key:>14}: {stats[key]}")
-    elif args.action == "export":
-        if not args.file:
-            print("error: registry export needs --file", file=sys.stderr)
-            return 2
-        path = registry.export_file(args.file)
-        print(f"exported {len(registry)} entries to {path}")
-    elif args.action == "import":
-        if not args.file:
-            print("error: registry import needs --file", file=sys.stderr)
-            return 2
-        accepted = registry.import_file(args.file, source=f"import:{args.file}")
-        print(f"imported {accepted} improved entries from {args.file} "
-              f"({len(registry)} total)")
-    elif args.action == "compact":
-        removed = registry.compact()
-        print(f"compacted: removed {removed} stale lines, "
-              f"{len(registry)} entries kept")
-    registry.close()
+    if args.action in ("export", "import") and not args.file:
+        print(f"error: registry {args.action} needs --file", file=sys.stderr)
+        return 2
+    with ScheduleRegistry(args.registry) as registry:
+        if args.action == "stats":
+            stats = registry.stats()
+            for key in ("entries", "workloads", "targets", "shard_files",
+                        "total_lines", "stale_lines", "skipped_lines"):
+                print(f"{key:>14}: {stats[key]}")
+        elif args.action == "export":
+            path = registry.export_file(args.file)
+            print(f"exported {len(registry)} entries to {path}")
+        elif args.action == "import":
+            accepted = registry.import_file(args.file, source=f"import:{args.file}")
+            print(f"imported {accepted} improved entries from {args.file} "
+                  f"({len(registry)} total)")
+        elif args.action == "compact":
+            removed = registry.compact()
+            print(f"compacted: removed {removed} stale lines, "
+                  f"{len(registry)} entries kept")
     return 0
 
 
@@ -977,7 +939,6 @@ def _cmd_targets(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = HARLConfig.scaled(args.scale)
     if args.targets:
         target_names = [name.strip() for name in args.targets.split(",") if name.strip()]
     elif args.target:
@@ -985,8 +946,8 @@ def _cmd_sweep(args) -> int:
     else:
         target_names = ["xeon-6226r", "rtx-3090"]
     targets = [_resolve_target(name) for name in target_names]
+    networks, dags = [], []
     if args.networks:
-        networks = []
         for name in (n.strip() for n in args.networks.split(",") if n.strip()):
             if name not in _NETWORK_CHOICES:
                 print(f"error: unknown network {name!r}; known: "
@@ -997,14 +958,28 @@ def _cmd_sweep(args) -> int:
             print("error: --networks needs at least one network name",
                   file=sys.stderr)
             return 2
-        registry = _open_registry(args)
-        record_store = RecordStore(args.records_out) if args.records_out else None
-        report = sweep_networks(
-            networks, targets, n_trials=args.trials, config=config,
-            seed=args.seed, scheduler=args.scheduler, policy=args.policy,
-            registry=registry, num_workers=args.num_workers,
-            record_store=record_store, batch_size=args.batch,
+    else:
+        for op in (name.strip() for name in args.ops.split(",") if name.strip()):
+            if op not in OPERATOR_CLASSES:
+                print(f"error: unknown operator class {op!r}; known: "
+                      f"{', '.join(OPERATOR_CLASSES)}", file=sys.stderr)
+                return 2
+            dags.append(representative_dag(op, batch=args.batch))
+        if not dags:
+            print("error: --ops needs at least one operator class", file=sys.stderr)
+            return 2
+    with _session(args) as run:
+        pipeline = dict(
+            n_trials=args.trials, config=run.config, seed=args.seed,
+            scheduler=args.scheduler, registry=run.registry,
+            num_workers=args.num_workers, record_store=run.records,
         )
+        if networks:
+            report = sweep_networks(networks, targets, policy=args.policy,
+                                    batch_size=args.batch, **pipeline)
+        else:
+            report = sweep_targets(dags, targets, **pipeline)
+    if networks:
         print(report.format(
             title=f"network fleet sweep: {len(networks)} networks x "
                   f"{len(targets)} targets"
@@ -1013,45 +988,17 @@ def _cmd_sweep(args) -> int:
         if reused:
             print(f"\n{len(reused)} runs reused registry knowledge "
                   f"(hits or warm starts)")
-        if args.report:
-            path = report.write_csv(args.report)
-            print(f"report written to {path}")
-        if record_store is not None:
-            record_store.close()
-        if registry is not None:
-            registry.close()
-        return 0
-    dags = []
-    for op in (name.strip() for name in args.ops.split(",") if name.strip()):
-        if op not in OPERATOR_CLASSES:
-            print(f"error: unknown operator class {op!r}; known: "
-                  f"{', '.join(OPERATOR_CLASSES)}", file=sys.stderr)
-            return 2
-        dags.append(representative_dag(op, batch=args.batch))
-    if not dags:
-        print("error: --ops needs at least one operator class", file=sys.stderr)
-        return 2
-    registry = _open_registry(args)
-    record_store = RecordStore(args.records_out) if args.records_out else None
-    report = sweep_targets(
-        dags, targets, n_trials=args.trials, config=config, seed=args.seed,
-        scheduler=args.scheduler, registry=registry, num_workers=args.num_workers,
-        record_store=record_store,
-    )
-    print(report.format(
-        title=f"cross-target sweep: {len(dags)} workloads x {len(targets)} targets"
-    ))
-    transfers = report.transfer_cells()
-    if transfers:
-        print(f"\n{len(transfers)} runs warm-started across targets "
-              f"({', '.join(sorted({c.target for c in transfers}))})")
+    else:
+        print(report.format(
+            title=f"cross-target sweep: {len(dags)} workloads x {len(targets)} targets"
+        ))
+        transfers = report.transfer_cells()
+        if transfers:
+            print(f"\n{len(transfers)} runs warm-started across targets "
+                  f"({', '.join(sorted({c.target for c in transfers}))})")
     if args.report:
         path = report.write_csv(args.report)
         print(f"report written to {path}")
-    if record_store is not None:
-        record_store.close()
-    if registry is not None:
-        registry.close()
     return 0
 
 

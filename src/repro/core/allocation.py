@@ -325,15 +325,16 @@ class RoundScheduler:
     per-workload :class:`WorkloadState` (:meth:`_new_state`).  This class
     owns everything around the round:
 
-    * the pipeline: target and seed defaults, measurer, cost model, the
-      record store bound to the measurer, ``warm_start_provider`` (a callable
-      ``provider(dag) -> Sequence[Schedule]``, e.g.
+    * the pipeline: target and seed defaults, measurer, cost model,
+      ``warm_start_provider`` (a callable ``provider(dag) ->
+      Sequence[Schedule]``, e.g.
       :meth:`~repro.serving.registry.ScheduleRegistry.warm_start_schedules`),
     * :meth:`resume_from`, replayed lazily per workload,
     * warm starts: transferred schedules are measured directly, as one batch,
       before the first search round,
-    * :meth:`tune_round`, :meth:`finalize` (persisting each result), and
-      the budget loops :meth:`tune` / :meth:`tune_network`.
+    * :meth:`tune_round`, :meth:`finalize` (persisting each result to the
+      measurer's record log, which the measurer alone holds), and the budget
+      loops :meth:`tune` / :meth:`tune_network`.
 
     ``task_policy`` names the network allocation policy used when
     :meth:`tune_network` is given none.
@@ -348,7 +349,6 @@ class RoundScheduler:
         seed: int = 0,
         cost_model: Optional[ScheduleCostModel] = None,
         measurer: Optional[Measurer] = None,
-        record_store=None,
         warm_start_provider=None,
     ):
         self.target = target or cpu_target()
@@ -362,9 +362,6 @@ class RoundScheduler:
             seed=seed,
         )
         self.cost_model = cost_model or ScheduleCostModel(seed=seed)
-        self.record_store = record_store
-        if record_store is not None and self.measurer.record_store is None:
-            self.measurer.record_store = record_store
         self.warm_start_provider = warm_start_provider
         self._resume_store = None
         self._workloads: Dict[str, WorkloadState] = {}
@@ -467,8 +464,8 @@ class RoundScheduler:
             history=self.measurer.history(dag.name),
             extras=self._extras(state),
         )
-        if self.record_store is not None:
-            self.record_store.append_result(result)
+        if self.measurer.record_store is not None:
+            self.measurer.record_store.append_result(result)
         return result
 
     def tune(self, dag: ComputeDAG, n_trials: int) -> TuningResult:

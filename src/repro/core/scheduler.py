@@ -10,8 +10,8 @@
 * **parameter search** — a PPO agent per (subgraph, sketch) driving
   Algorithm 1 episodes with adaptive stopping.
 
-Ablation switches (``adaptive_stopping``, ``use_sketch_mab``) reproduce the
-"Hierarchical-RL" variant of the evaluation section; "HARL w/o subgraph MAB"
+The ``adaptive_stopping`` switch reproduces the "Hierarchical-RL" variant
+of the evaluation section; "HARL w/o subgraph MAB"
 is HARL under the greedy ``"gradient"`` network policy
 (``tune_network(..., policy="gradient")``).
 """
@@ -65,7 +65,7 @@ class HARLScheduler(RoundScheduler):
     """Hierarchical Adaptive RL auto-scheduler (the paper's contribution).
 
     The pipeline arguments (``target``, ``seed``, ``cost_model``,
-    ``measurer``, ``record_store``, ``warm_start_provider``) are those of
+    ``measurer``, ``warm_start_provider``) are those of
     :class:`~repro.core.allocation.RoundScheduler`; the default measurer
     repeats for ``config.min_repeat_seconds``.
 
@@ -75,8 +75,6 @@ class HARLScheduler(RoundScheduler):
         Hyper-parameters; defaults to the paper's Table 5 values.
     adaptive_stopping:
         Disable to obtain the fixed-length "Hierarchical-RL" ablation.
-    use_sketch_mab:
-        Disable to select sketches uniformly at random (Ansor-style).
     """
 
     name = "harl"
@@ -88,19 +86,16 @@ class HARLScheduler(RoundScheduler):
         config: Optional[HARLConfig] = None,
         seed: int = 0,
         adaptive_stopping: bool = True,
-        use_sketch_mab: bool = True,
         cost_model: Optional[ScheduleCostModel] = None,
         measurer: Optional[Measurer] = None,
-        record_store=None,
         warm_start_provider=None,
     ):
         super().__init__(
             target=target, config=config or HARLConfig(), seed=seed,
-            cost_model=cost_model, measurer=measurer, record_store=record_store,
+            cost_model=cost_model, measurer=measurer,
             warm_start_provider=warm_start_provider,
         )
         self.adaptive_stopping = bool(adaptive_stopping)
-        self.use_sketch_mab = bool(use_sketch_mab)
         if not adaptive_stopping:
             self.name = "hierarchical-rl"
 
@@ -140,11 +135,7 @@ class HARLScheduler(RoundScheduler):
 
     def _search_round(self, ctx: _TaskContext, max_measures: Optional[int]) -> int:
         """Pick a sketch, run one parameter-search episode, reward the sketch."""
-        if self.use_sketch_mab:
-            sketch_index = ctx.sketch_mab.select()
-        else:
-            sketch_index = int(self._rng.integers(0, len(ctx.sketches)))
-
+        sketch_index = ctx.sketch_mab.select()
         searcher = self._searcher(ctx, sketch_index)
         warm_start = ctx.best_schedules[-4:] if ctx.best_schedules else None
         episode = searcher.run_episode(warm_start=warm_start, max_measures=max_measures)

@@ -9,9 +9,10 @@ for the metric / reporting helpers.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.baselines.ansor import AnsorConfig, AnsorScheduler
 from repro.baselines.autotvm import SimulatedAnnealingScheduler
@@ -128,7 +129,9 @@ def make_measurer(
     (so callers fall back to each scheduler's default measurer, preserving
     plain-run seed semantics), a :class:`ParallelMeasurer` when
     ``num_workers > 1``, and a serial :class:`Measurer` bound to the record
-    store otherwise.
+    store otherwise.  The measurer is the only holder of the record store:
+    it appends every measurement and its scheduler appends each final result
+    through it.
     """
     if num_workers <= 1 and record_store is None:
         return None
@@ -146,7 +149,6 @@ def make_scheduler(
     config: HARLConfig,
     seed: int,
     measurer: Optional[Measurer] = None,
-    record_store=None,
     warm_start_provider=None,
 ):
     """Build a scheduler by name.
@@ -160,8 +162,7 @@ def make_scheduler(
         scheduler = HARLScheduler(
             target=target, config=config, seed=seed,
             adaptive_stopping=(name != "hierarchical-rl"),
-            measurer=measurer, record_store=record_store,
-            warm_start_provider=warm_start_provider,
+            measurer=measurer, warm_start_provider=warm_start_provider,
         )
         if name == "harl-no-subgraph-mab":
             scheduler.task_policy = "gradient"
@@ -169,23 +170,22 @@ def make_scheduler(
     if name == "ansor":
         return AnsorScheduler(
             target=target, config=AnsorConfig.from_harl(config), seed=seed,
-            measurer=measurer, record_store=record_store,
-            warm_start_provider=warm_start_provider,
+            measurer=measurer, warm_start_provider=warm_start_provider,
         )
     if name == "flextensor":
         return FlextensorScheduler(
             target=target, config=config, seed=seed,
-            measurer=measurer, record_store=record_store,
-            warm_start_provider=warm_start_provider,
+            measurer=measurer, warm_start_provider=warm_start_provider,
         )
     if name == "autotvm":
         return SimulatedAnnealingScheduler(
-            target=target, seed=seed, measurer=measurer, record_store=record_store,
+            target=target, seed=seed, measurer=measurer,
             warm_start_provider=warm_start_provider,
         )
     raise KeyError(f"unknown scheduler {name!r}")
 
 
+@contextmanager
 def _competitor(
     name: str,
     target: HardwareTarget,
@@ -193,19 +193,22 @@ def _competitor(
     seed: int,
     num_workers: int,
     records_dir: Optional[Union[str, Path]],
-):
+) -> Iterator:
     """A fresh scheduler for one competitor of a head-to-head run.
 
     Each competitor gets its own measurer and record store file
     (``<records_dir>/<name>.jsonl``) so no information leaks between them;
-    the store is also handed to the scheduler so the final 'result' line
-    lands in the same log as the measurements.
+    the store is closed when the competitor's run ends, however it ends.
     """
     store = None
     if records_dir is not None:
         store = RecordStore(Path(records_dir) / f"{name}.jsonl")
-    measurer = make_measurer(target, config, seed, num_workers, store)
-    return make_scheduler(name, target, config, seed, measurer=measurer, record_store=store)
+    try:
+        measurer = make_measurer(target, config, seed, num_workers, store)
+        yield make_scheduler(name, target, config, seed, measurer=measurer)
+    finally:
+        if store is not None:
+            store.close()
 
 
 def compare_on_operator(
@@ -241,8 +244,8 @@ def compare_on_operator(
     registry = resolve_registry(registry)
     results: Dict[str, TuningResult] = {}
     for name in schedulers:
-        scheduler = _competitor(name, target, config, seed, num_workers, records_dir)
-        results[name] = scheduler.tune(dag, n_trials)
+        with _competitor(name, target, config, seed, num_workers, records_dir) as scheduler:
+            results[name] = scheduler.tune(dag, n_trials)
         if registry is not None:
             registry.record_result(dag, target, results[name], source=f"runner:{name}")
     return OperatorComparison(dag_name=dag.name, results=results)
@@ -270,8 +273,8 @@ def compare_on_network(
     registry = resolve_registry(registry)
     results: Dict[str, NetworkTuningResult] = {}
     for name in schedulers:
-        scheduler = _competitor(name, target, config, seed, num_workers, records_dir)
-        results[name] = tune_network(scheduler, network, n_trials)
+        with _competitor(name, target, config, seed, num_workers, records_dir) as scheduler:
+            results[name] = tune_network(scheduler, network, n_trials)
         if registry is not None:
             for sg in network:
                 task_result = results[name].task_results.get(sg.name)

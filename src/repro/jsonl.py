@@ -19,6 +19,12 @@ question the stores answer via their ``strict`` policy.
 and a write or flush that fails with an ``OSError`` (e.g. ENOSPC after half
 a line) is truncated back to the pre-append length before the error
 propagates, so the next append starts on a clean line.
+
+:func:`read_lines` is the one reader: record-log loading, the registry's
+shard scan and registry imports all parse their lines through it, so a
+corrupt line (not UTF-8, not a JSON object, or rejected by the store's
+parser) is treated alike everywhere: skipped, or with ``strict`` a
+``ValueError`` naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import IO, AnyStr, Callable, Optional
+from typing import IO, AnyStr, Callable, Iterator, Optional, Tuple, TypeVar
 
-__all__ = ["append_line", "repair_torn_tail"]
+__all__ = ["append_line", "read_lines", "repair_torn_tail"]
+
+T = TypeVar("T")
 
 #: How many bytes of tail to pull in per backwards step while hunting for the
 #: final newline.  A torn line is one JSON object (a few hundred bytes), so
@@ -128,3 +136,42 @@ def append_line(
             pass  # the disk is truly wedged; load-time repair takes over
         raise
     return offset
+
+
+def read_lines(
+    blob: bytes,
+    parse: Callable[[dict], T],
+    path: object,
+    what: str,
+    strict: bool = False,
+    base_offset: int = 0,
+    lineno_base: int = 0,
+) -> Iterator[Tuple[int, int, Optional[T]]]:
+    """Yield ``(offset, length, item)`` for every non-blank line of ``blob``.
+
+    ``item`` is ``parse(obj)`` of the line's JSON object, or ``None`` for a
+    corrupt line: one that is not UTF-8, not a JSON object, or that
+    ``parse`` rejects with ``ValueError`` / ``KeyError`` / ``TypeError``.
+    With ``strict`` a corrupt line raises ``ValueError("corrupted <what> at
+    <path>:<line>: ...")`` instead.  ``offset`` and ``length`` locate the
+    raw line (newline included) in the file whose bytes from
+    ``base_offset`` on are ``blob``; ``lineno_base`` is the number of lines
+    before it.
+    """
+    pos = base_offset
+    for lineno, raw in enumerate(blob.splitlines(keepends=True), start=lineno_base + 1):
+        offset = pos
+        pos += len(raw)
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            data = json.loads(text.decode("utf-8"))
+            if not isinstance(data, dict):
+                raise ValueError("line is not a JSON object")
+            item: Optional[T] = parse(data)
+        except (ValueError, KeyError, TypeError) as exc:
+            if strict:
+                raise ValueError(f"corrupted {what} at {path}:{lineno}: {exc}") from exc
+            item = None
+        yield offset, len(raw), item

@@ -28,7 +28,7 @@ from typing import IO, Iterator, List, Optional, Tuple, Union
 
 from repro.core.tuner import TuningResult
 from repro.faults.plan import poll as poll_fault
-from repro.jsonl import append_line, repair_torn_tail
+from repro.jsonl import append_line, read_lines, repair_torn_tail
 from repro.obs.metrics import counter, histogram
 from repro.serving.fingerprint import structural_fingerprint, workload_embedding
 from repro.tensor.dag import ComputeDAG
@@ -279,6 +279,16 @@ class MeasureRecord:
         )
 
 
+def _parse_line(data: dict) -> Union[MeasureRecord, TuningRecord]:
+    """One log line's record, by its ``kind`` tag."""
+    kind = data.get("kind")
+    if kind == "measure":
+        return MeasureRecord.from_dict(data)
+    if kind == "result":
+        return TuningRecord.from_dict(data)
+    raise ValueError(f"unknown record kind {kind!r}")
+
+
 class RecordStore:
     """Append-only JSONL store of measurements and tuning results.
 
@@ -296,9 +306,10 @@ class RecordStore:
         makes resumed runs accumulate into one file.  ``None`` keeps the
         store purely in memory.
     strict:
-        When true, corrupted (non-JSON or structurally invalid) lines raise
-        :class:`ValueError` at load time; when false (the default) they are
-        skipped and counted in :attr:`skipped_lines`.
+        When true, corrupted (non-UTF-8, non-JSON or structurally invalid)
+        lines raise :class:`ValueError` naming ``path:line`` at load time;
+        when false (the default) they are skipped and counted in
+        :attr:`skipped_lines`.
     """
 
     #: Flushes slower than this (seconds) are counted in ``slow_flushes`` —
@@ -324,7 +335,15 @@ class RecordStore:
             # this process never appends onto a partial write.
             if repair_torn_tail(self.path, label="record store"):
                 self.truncated_tails += 1
-            self._load_lines_locked(self.path.read_text())
+            for _offset, _length, record in read_lines(
+                self.path.read_bytes(), _parse_line, self.path, "record", self.strict
+            ):
+                if isinstance(record, MeasureRecord):
+                    self._measures.append(record)
+                elif record is not None:
+                    self._results.append(record)
+                else:
+                    self.skipped_lines += 1
 
     # ------------------------------------------------------------------ #
     # loading
@@ -336,28 +355,6 @@ class RecordStore:
         if not path.exists():
             raise FileNotFoundError(f"record store {path} does not exist")
         return cls(path, strict=strict)
-
-    def _load_lines_locked(self, text: str) -> None:
-        # Caller holds _lock (or the store is not yet published: __init__).
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                kind = data.get("kind")
-                if kind == "measure":
-                    self._measures.append(MeasureRecord.from_dict(data))
-                elif kind == "result":
-                    self._results.append(TuningRecord.from_dict(data))
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
-            except (ValueError, KeyError, TypeError) as exc:
-                if self.strict:
-                    raise ValueError(
-                        f"corrupted record at {self.path}:{lineno}: {exc}"
-                    ) from exc
-                self.skipped_lines += 1
 
     # ------------------------------------------------------------------ #
     # appending

@@ -78,7 +78,7 @@ import numpy as np
 from repro.caching import MemoCache, cached_sketches
 from repro.faults.plan import poll as poll_fault
 from repro.hardware.catalog import default_catalog, target_distance
-from repro.jsonl import append_line, repair_torn_tail
+from repro.jsonl import append_line, read_lines, repair_torn_tail
 from repro.hardware.target import HardwareTarget
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span as obs_span
@@ -722,22 +722,13 @@ class ScheduleRegistry:
         lineno_base: int,
     ) -> None:
         """Parse raw shard bytes into the index, tracking line offsets."""
-        pos = base_offset
-        for lineno, raw in enumerate(blob.splitlines(keepends=True), start=lineno_base + 1):
-            offset = pos
-            pos += len(raw)
-            text = raw.strip()
-            if not text:
-                continue
+        for offset, length, entry in read_lines(
+            blob, RegistryEntry.from_dict, path, "registry entry", self.strict,
+            base_offset=base_offset, lineno_base=lineno_base,
+        ):
             state.total_lines += 1
             self.total_lines += 1
-            try:
-                entry = RegistryEntry.from_dict(json.loads(text))
-            except (ValueError, KeyError, TypeError) as exc:
-                if self.strict:
-                    raise ValueError(
-                        f"corrupted registry entry at {path}:{lineno}: {exc}"
-                    ) from exc
+            if entry is None:
                 state.skipped_lines += 1
                 self.skipped_lines += 1
                 continue
@@ -750,7 +741,7 @@ class ScheduleRegistry:
                     embedding=entry.embedding,
                     path=path,
                     offset=offset,
-                    length=len(raw),
+                    length=length,
                 ),
                 None,
             )
@@ -1484,17 +1475,10 @@ class ScheduleRegistry:
         if not path.exists():
             raise FileNotFoundError(f"registry export {path} does not exist")
         accepted = 0
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = RegistryEntry.from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                if self.strict:
-                    raise ValueError(
-                        f"corrupted registry entry at {path}:{lineno}: {exc}"
-                    ) from exc
+        for _offset, _length, entry in read_lines(
+            path.read_bytes(), RegistryEntry.from_dict, path, "registry entry", self.strict
+        ):
+            if entry is None:
                 with self._mutex:
                     self.skipped_lines += 1
                 continue

@@ -246,7 +246,6 @@ class TuningService:
             self.config,
             seed,
             measurer=measurer,
-            record_store=self.record_store,
             warm_start_provider=provider,
         )
 

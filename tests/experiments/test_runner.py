@@ -71,3 +71,58 @@ class TestNetworkComparison:
         for result in comparison.results.values():
             assert np.isfinite(result.best_latency)
         assert max(comparison.normalized_performance().values()) == pytest.approx(1.0)
+
+
+class TestCompetitorRecordLogs:
+    """Each competitor's <records_dir>/<name>.jsonl is closed after its run."""
+
+    @pytest.fixture
+    def closed_logs(self, monkeypatch):
+        from repro.records import RecordStore
+
+        closed = []
+
+        def spy(self, _close=RecordStore.close):
+            closed.append(self.path.name)
+            _close(self)
+
+        monkeypatch.setattr(RecordStore, "close", spy)
+        return closed
+
+    def test_operator_comparison_closes_each_log(self, tiny_config, gemm_dag, tmp_path,
+                                                 closed_logs):
+        compare_on_operator(gemm_dag, n_trials=4, config=tiny_config, seed=0,
+                            schedulers=("ansor", "harl"), records_dir=tmp_path)
+        assert closed_logs == ["ansor.jsonl", "harl.jsonl"]
+
+    def test_network_comparison_closes_each_log(self, tiny_config, tiny_network, tmp_path,
+                                                closed_logs):
+        compare_on_network(tiny_network, n_trials=4, config=tiny_config, seed=0,
+                           schedulers=("ansor", "harl"), records_dir=tmp_path)
+        assert closed_logs == ["ansor.jsonl", "harl.jsonl"]
+
+    def test_result_lines_land_in_each_log(self, tiny_config, gemm_dag, tmp_path):
+        from repro.records import RecordStore
+
+        compare_on_operator(gemm_dag, n_trials=4, config=tiny_config, seed=0,
+                            schedulers=("ansor", "harl"), records_dir=tmp_path)
+        for name in ("ansor", "harl"):
+            log = RecordStore.load(tmp_path / f"{name}.jsonl")
+            assert [r.scheduler for r in log.query(kind="result")] == [name]
+
+
+class TestSchedulerConstruction:
+    def test_no_scheduler_takes_a_record_store(self):
+        """The measurer is the one holder of the record log."""
+        import inspect
+
+        from repro.baselines.ansor import AnsorScheduler
+        from repro.baselines.autotvm import SimulatedAnnealingScheduler
+        from repro.baselines.flextensor import FlextensorScheduler
+        from repro.core.allocation import RoundScheduler
+        from repro.core.scheduler import HARLScheduler
+        from repro.experiments.runner import make_scheduler
+
+        for fn in (RoundScheduler, HARLScheduler, AnsorScheduler, FlextensorScheduler,
+                   SimulatedAnnealingScheduler, make_scheduler):
+            assert "record_store" not in inspect.signature(fn).parameters, fn

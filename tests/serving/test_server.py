@@ -13,6 +13,8 @@ Covers the acceptance-critical serving behaviours over a real TCP socket:
   both under seeded fault plans.
 """
 
+import json
+import socket
 import threading
 import time
 
@@ -22,7 +24,7 @@ from repro.faults.plan import FaultPlan, FaultSpec, inject
 from repro.serving.loadgen import LoadGenConfig, run_load
 from repro.serving.netclient import NetClientError, TuningClient
 from repro.serving.registry import ScheduleRegistry
-from repro.serving.server import ServerConfig, ServingServer
+from repro.serving.server import MAX_LINE_BYTES, ServerConfig, ServingServer
 from repro.serving.service import TuningService
 
 
@@ -45,6 +47,19 @@ def client(server):
 class TestWireBasics:
     def test_ping(self, client):
         assert client.ping() is True
+
+    def test_overlong_request_line_is_rejected_and_closed(self, server):
+        # Exactly one byte over the limit and no newline: the server has read
+        # every byte when it gives up, so it closes cleanly (no reset).
+        with socket.create_connection((server.host, server.port), timeout=30.0) as sock:
+            sock.sendall(b"x" * (MAX_LINE_BYTES + 1))
+            reader = sock.makefile("rb")
+            reply = json.loads(reader.readline())
+            assert reply["ok"] is False
+            assert reply["error"] == {"code": "bad_request",
+                                      "message": "request line too long"}
+            assert reader.readline() == b""  # the connection is closed
+        assert server.requests == 0
 
     def test_cold_tune_then_fast_hit(self, server, client):
         cold = client.tune("GEMM-S", trials=4)
@@ -168,6 +183,22 @@ class TestAdmissionControl:
                 other = cli.tune("GEMM-M", trials=8, tenant="other")
                 assert other.ok
             assert server.quota_rejected == 1
+
+    def test_trials_below_one_are_bad_requests(self, tiny_config):
+        """A non-positive budget must neither run a job nor refund quota."""
+        with ServingServer(_service(tiny_config), ServerConfig(quota=10)) as server:
+            with TuningClient(server.host, server.port, timeout=30.0) as cli:
+                for trials in (-100, 0):
+                    reply = cli.tune("GEMM-S", trials=trials)
+                    assert not reply.ok
+                    assert reply.error_code == "bad_request"
+                    assert "trials must be >= 1" in reply.error_message
+                assert server.service.jobs_created == 0
+                assert server._quota_used.get("default", 0) == 0
+                # The quota still holds exactly 10 trials.
+                assert cli.tune("GEMM-S", trials=8).ok
+                over = cli.tune("GEMM-M", trials=8)
+                assert over.error_code == "quota_exceeded"
 
 
 class TestDegradedMode:

@@ -111,6 +111,17 @@ class TestMeasurementPipelineFlags:
         # the resumed run starts from the recorded best, so it cannot regress
         assert best_latency(second) <= best_latency(first)
 
+    def test_resume_from_log_with_non_utf8_line(self, capsys, tmp_path):
+        from repro.records import RecordStore
+
+        log = tmp_path / "records.jsonl"
+        base = ["tune-op", "--op", "GEMM-S", "--trials", "8", "--scale", "0.05"]
+        assert main(base + ["--records-out", str(log)]) == 0
+        with log.open("ab") as fh:
+            fh.write(b'{"kind": "measure", "workload": "\xff"}\n')
+        assert main(base + ["--resume-from", str(log)]) == 0
+        assert RecordStore.load(log).skipped_lines == 1
+
     def test_resume_from_missing_file_clean_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["tune-op", "--op", "GEMM-S", "--trials", "8",
@@ -366,3 +377,70 @@ class TestNetworkSweepCommand:
     def test_sweep_rejects_unknown_network(self, capsys):
         assert main(["sweep", "--networks", "alexnet", "--trials", "8"]) == 2
         assert "unknown network" in capsys.readouterr().err
+
+
+class TestStoreLifecycle:
+    """Every command closes the record log and registry it opened."""
+
+    _FAST = ["--trials", "2", "--scale", "0.05"]
+
+    @pytest.mark.parametrize("command", [
+        ["network", "tune"], ["compare"], ["serve"], ["bench-load"],
+        ["sweep"], ["metrics"], ["trace"],
+    ], ids=lambda c: "-".join(c))
+    def test_resume_from_only_on_tune_commands(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + self._FAST + ["--resume-from", "log.jsonl"])
+        assert excinfo.value.code == 2
+        assert "--resume-from" in capsys.readouterr().err
+
+    def test_bench_load_writes_records_out(self, capsys, tmp_path):
+        from repro.records import RecordStore
+
+        log = tmp_path / "load.jsonl"
+        assert main(["bench-load", "--clients", "1", "--per-client", "2",
+                     "--warmup", "1", "--pause", "0", "--records-out", str(log)]
+                    + self._FAST) == 0
+        assert f"records written to {log}" in capsys.readouterr().out
+        store = RecordStore.load(log)
+        assert len(store.query(kind="measure")) >= 2
+        assert store.query(kind="result")
+
+    def test_compare_registry_gets_index_sidecars(self, capsys, tmp_path):
+        registry = tmp_path / "registry"
+        assert main(["compare", "--op", "GEMM-S", "--registry", str(registry)]
+                    + self._FAST) == 0
+        shards = sorted(p.name for p in registry.glob("shard-*.jsonl"))
+        assert shards
+        assert sorted(p.name for p in registry.glob("shard-*.idx.json")) == [
+            name.replace(".jsonl", ".idx.json") for name in shards
+        ]
+
+    def test_command_that_raises_still_closes_its_stores(self, monkeypatch, tmp_path):
+        from repro.hardware.measurer import Measurer
+        from repro.records import RecordStore
+        from repro.serving.registry import ScheduleRegistry
+
+        closed = []
+        for cls in (RecordStore, ScheduleRegistry):
+            def spy(self, _close=cls.close):
+                closed.append(type(self).__name__)
+                _close(self)
+            monkeypatch.setattr(cls, "close", spy)
+        measure = Measurer.measure
+        calls = []
+
+        def failing_measure(self, schedules):
+            calls.append(len(schedules))
+            if len(calls) == 2:
+                raise RuntimeError("measurement backend died")
+            return measure(self, schedules)
+
+        monkeypatch.setattr(Measurer, "measure", failing_measure)
+        log = tmp_path / "records.jsonl"
+        with pytest.raises(RuntimeError, match="backend died"):
+            main(["tune-op", "--op", "GEMM-S", "--trials", "8", "--scale", "0.05",
+                  "--records-out", str(log), "--registry", str(tmp_path / "reg")])
+        assert sorted(closed) == ["RecordStore", "ScheduleRegistry"]
+        # The first batch reached the log before the failure.
+        assert len(RecordStore.load(log).query(kind="measure")) == calls[0]

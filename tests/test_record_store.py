@@ -6,7 +6,9 @@ import pytest
 
 from repro.core.scheduler import HARLScheduler
 from repro.costmodel.model import ScheduleCostModel
+from repro.experiments.runner import make_measurer
 from repro.hardware.measurer import Measurer
+from repro.hardware.target import cpu_target
 from repro.records import RecordStore, schedule_to_dict
 from repro.tensor.sampler import sample_initial_schedules
 from repro.tensor.workloads import gemm
@@ -15,6 +17,12 @@ from repro.tensor.workloads import gemm
 @pytest.fixture
 def store_path(tmp_path):
     return tmp_path / "logs" / "records.jsonl"
+
+
+def _logged_harl(config, store):
+    """Seed-0 HARL whose measurer streams to ``store`` (it owns the log)."""
+    measurer = make_measurer(cpu_target(), config, 0, 1, store)
+    return HARLScheduler(config=config, seed=0, measurer=measurer)
 
 
 def _measure_some(cpu, gemm_sketch, rng, store, n=6):
@@ -48,7 +56,7 @@ class TestRoundTrip:
 
     def test_results_roundtrip(self, tiny_config, gemm_dag, store_path):
         store = RecordStore(store_path)
-        scheduler = HARLScheduler(config=tiny_config, seed=0, record_store=store)
+        scheduler = _logged_harl(tiny_config, store)
         result = scheduler.tune(gemm_dag, n_trials=8)
         store.close()
 
@@ -173,9 +181,7 @@ class TestFingerprintRouting:
 
     def test_results_carry_fingerprints(self, tiny_config, gemm_dag, store_path):
         store = RecordStore(store_path)
-        HARLScheduler(config=tiny_config, seed=0, record_store=store).tune(
-            gemm_dag, n_trials=8
-        )
+        _logged_harl(tiny_config, store).tune(gemm_dag, n_trials=8)
         store.close()
         loaded = RecordStore.load(store_path)
         assert all(m.fingerprint for m in loaded.query(kind="measure"))
@@ -218,9 +224,7 @@ class TestReplayAndResume:
     def test_resume_mid_tuning(self, tiny_config, gemm_dag, store_path):
         # First leg: tune with persistence.
         store = RecordStore(store_path)
-        first = HARLScheduler(config=tiny_config, seed=0, record_store=store).tune(
-            gemm_dag, n_trials=12
-        )
+        first = _logged_harl(tiny_config, store).tune(gemm_dag, n_trials=12)
         store.close()
 
         # Second leg: a brand-new process-equivalent resumes from the log.
@@ -237,9 +241,7 @@ class TestReplayAndResume:
 
     def test_resume_seeds_warm_start_schedules(self, tiny_config, gemm_dag, store_path):
         store = RecordStore(store_path)
-        HARLScheduler(config=tiny_config, seed=0, record_store=store).tune(
-            gemm_dag, n_trials=8
-        )
+        _logged_harl(tiny_config, store).tune(gemm_dag, n_trials=8)
         store.close()
 
         scheduler = HARLScheduler(config=tiny_config, seed=1).resume_from(
